@@ -200,12 +200,9 @@ def _load_model_file(path):
 def cmd_apply(args) -> int:
     model = _load_model_file(args.model)
     data = _read_csv(args.points, ("u", "v"))
-    rows = []
-    for u, v in data:
-        X, Y = map_point(model, u, v)
-        rows.append((u, v, X, Y))
-    _write_csv(args.out, ("u", "v", "X", "Y"), rows)
-    print(len(rows))
+    X, Y = map_point(model, data[:, 0], data[:, 1])
+    _write_csv(args.out, ("u", "v", "X", "Y"), np.column_stack((data, X, Y)))
+    print(len(data))
     return EXIT_OK
 
 
@@ -235,11 +232,9 @@ def cmd_warp(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_model_file(args.model)
     pairs = _read_pairs(args.truth)
-    errors = []
-    for p in pairs:
-        X, Y = map_point(model, p.u, p.v)
-        errors.append((X - p.X) ** 2 + (Y - p.Y) ** 2)
-    errors = np.array(errors)
+    u, v, X, Y = np.array([(p.u, p.v, p.X, p.Y) for p in pairs]).T
+    Xm, Ym = map_point(model, u, v)
+    errors = (Xm - X) ** 2 + (Ym - Y) ** 2
     print(f"max_err_mm={_fmt(np.sqrt(errors.max()))}")
     print(f"rms_err_mm={_fmt(np.sqrt(errors.mean()))}")
     print(f"n_points={len(pairs)}")

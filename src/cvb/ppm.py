@@ -9,6 +9,8 @@ import numpy as np
 
 MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 PLAIN_MAGICS = (b"P2", b"P3")
+# A plain raster body is decimal digits separated by whitespace, nothing else.
+PLAIN_BODY_BYTES = b"0123456789 \t\n\r\v\f"
 
 
 def _header_tokens(data: bytes, count: int):
@@ -53,10 +55,15 @@ def read_image(path) -> np.ndarray:
 
     count = width * height * channels
     if magic in PLAIN_MAGICS:
-        values = data[offset:].split()
-        if len(values) != count:
-            raise ValueError(f"expected {count} pixel values, found {len(values)}")
-        flat = np.array([int(v) for v in values], dtype=np.int64)
+        body = data[offset:]
+        stray = body.translate(None, PLAIN_BODY_BYTES)
+        if stray:
+            raise ValueError(f"plain raster holds {stray[:1]!r}; only digits and whitespace are allowed")
+        # digits-only tokens parse exactly (a too-long one saturates and fails
+        # the range check); a blank body would read as one bogus value
+        flat = np.fromstring(body, dtype=np.int64, sep=" ") if body.strip() else np.empty(0, np.int64)
+        if flat.size != count:
+            raise ValueError(f"expected {count} pixel values, found {flat.size}")
     else:
         raster = data[offset : offset + count]
         if len(raster) != count:

@@ -17,7 +17,15 @@ import numpy as np
 
 from .basis import DomainMap, auto_map
 from .fit1d import FitConfig, FitError
-from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, cvb_approximate_2d, eval_model_2d, visit_order
+from .fit2d import (
+    ChebModel2D,
+    SampleSet2D,
+    TermIndex2D,
+    cvb_approximate_2d,
+    eval_grid_2d,
+    eval_model_2d,
+    visit_order,
+)
 
 SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
@@ -181,19 +189,18 @@ def warp_image(model: CalibrationModel, image: np.ndarray, out_spec: WarpSpec, f
     x0, x1, y0, y1 = out_spec.window
     wx = x0 + (np.arange(out_spec.width) + 0.5) * (x1 - x0) / out_spec.width
     wy = y0 + (np.arange(out_spec.height) + 0.5) * (y1 - y0) / out_spec.height
-    wxx, wyy = np.meshgrid(wx, wy)
-    u = eval_model_2d(model.inv_u, wxx, wyy)
-    v = eval_model_2d(model.inv_v, wxx, wyy)
-    # nearest neighbor: pixel (r, c) covers [c, c+1) x [r, r+1)
-    su = np.floor(u).astype(np.int64)
-    sv = np.floor(v).astype(np.int64)
+    u = eval_grid_2d(model.inv_u, wx, wy)
+    v = eval_grid_2d(model.inv_v, wx, wy)
+    # nearest neighbor: pixel (r, c) covers [c, c+1) x [r, r+1).  The bounds
+    # test runs on the floats, so NaN, inf or huge extrapolated positions are
+    # never cast; for the valid ones, u >= 0 makes truncation equal floor.
     in_h, in_w = image.shape[:2]
-    valid = (su >= 0) & (su < in_w) & (sv >= 0) & (sv < in_h)
+    valid = (u >= 0) & (u < in_w) & (v >= 0) & (v < in_h)
 
     shape = (out_spec.height, out_spec.width) + image.shape[2:]
     out = np.empty(shape, dtype=image.dtype)
     out[...] = fill
-    out[valid] = image[sv[valid], su[valid]]
+    out[valid] = image[v[valid].astype(np.intp), u[valid].astype(np.intp)]
     return out
 
 
@@ -247,12 +254,26 @@ def _require(record: dict, field: str, context: str):
     return record[field]
 
 
+def _load_real(value, context: str) -> float:
+    """A finite JSON number; booleans, strings, null and NaN/Infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelParseError(f"{context} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        real = float("inf")
+    if not np.isfinite(real):
+        raise ModelParseError(f"{context} must be finite, got {value!r}")
+    return real
+
+
 def _load_map(value, context: str) -> DomainMap:
     if not (isinstance(value, list) and len(value) == 2):
         raise ModelParseError(f"{context} must be a [lo, hi] pair")
+    lo, hi = (_load_real(v, context) for v in value)
     try:
-        return DomainMap(float(value[0]), float(value[1]))
-    except (TypeError, ValueError) as exc:
+        return DomainMap(lo, hi)
+    except ValueError as exc:
         raise ModelParseError(f"bad {context}: {exc}") from exc
 
 
@@ -267,7 +288,7 @@ def load_model(document: str) -> CalibrationModel:
     version = _require(doc, "version", "document")
     if type(version) is not int or version != MODEL_VERSION:
         raise ModelVersionError(f"unsupported document version {version!r}")
-    epsilon = float(_require(doc, "epsilon", "document"))
+    epsilon = _load_real(_require(doc, "epsilon", "document"), "epsilon")
     degree_bound = _require(doc, "degree_bound", "document")
     if type(degree_bound) is not int or degree_bound < 1:
         raise ModelParseError(f"degree_bound must be a positive integer, got {degree_bound!r}")
@@ -292,7 +313,7 @@ def load_model(document: str) -> CalibrationModel:
             key = TermIndex2D(i, j)
             if key in coeffs:
                 raise ModelParseError(f"{name}.terms repeats term {key}")
-            coeffs[key] = float(c)
+            coeffs[key] = _load_real(c, f"{name} coefficient of term ({i}, {j})")
         try:
             models[name] = ChebModel2D(coeffs=coeffs, xmap=xmap, ymap=ymap, degree_bound=degree_bound)
         except ValueError as exc:

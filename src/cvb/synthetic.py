@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .basis import SampleSet1D
 from .rectify import Correspondence
@@ -80,6 +79,10 @@ def gen_noisy_line(seed: int) -> SampleSet1D:
     thinned to a minimum gap of 0.05 and sorted; the y noise is uniform in
     +/-0.05.  Identical seeds give identical point sets.
     """
+    # imported here: scipy.stats takes most of a second to import, and this
+    # is its only use
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=1, scramble=True, seed=seed)
     accepted: list[float] = []
     while len(accepted) < 9:

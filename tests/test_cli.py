@@ -1,7 +1,14 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cvb
 
 from cvb.cli import EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VALIDATION, main
 from cvb.ppm import read_image, write_image
@@ -18,6 +25,20 @@ def quad_csv(tmp_path):
     path = tmp_path / "quad.csv"
     path.write_text("x,y\n-1,0\n0,1\n1,4\n")
     return path
+
+
+NOISY_LINE_SEED_3 = """\
+x,y
+-0.91560151488361186,-0.3992358407274435
+-0.66560151488361186,-0.25911970678219598
+-0.41560151488361186,-0.077673310921166236
+-0.16560151488361186,0.025415446164630859
+0.084398485116388144,0.10161210678223399
+0.20939848511638814,0.19801193658184146
+0.33439848511638814,0.26510437237227746
+0.58439848511638814,0.35817313402190187
+0.83439848511638814,0.54065695769911548
+"""
 
 
 class TestGen:
@@ -43,6 +64,11 @@ class TestGen:
         assert run(capsys, "gen", "noisy-line", "--seed", "7", "--out", str(a))[0] == EXIT_OK
         assert run(capsys, "gen", "noisy-line", "--seed", "7", "--out", str(b))[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_noisy_line_seed_3_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "noisy.csv"
+        assert run(capsys, "gen", "noisy-line", "--seed", "3", "--out", str(out))[0] == EXIT_OK
+        assert out.read_text() == NOISY_LINE_SEED_3
 
     def test_humped_flat(self, tmp_path, capsys):
         out = tmp_path / "hf.csv"
@@ -216,6 +242,49 @@ class TestCalibrationPipeline:
         # world origin maps to the image center under the oracle
         assert abs(center[2]) <= 0.5 and abs(center[3]) <= 0.5
 
+    def test_apply_and_eval_equal_a_per_point_loop(self, model_json, tmp_path, capsys):
+        from cvb.rectify import load_model, map_point
+
+        rng = np.random.default_rng(12)
+        points = np.column_stack([rng.uniform(100, 540, 40), rng.uniform(100, 380, 40)])
+        world = rng.uniform(-300, 300, (40, 2))
+        pts, truth = tmp_path / "pts.csv", tmp_path / "truth.csv"
+        pts.write_text("u,v\n" + "".join(f"{u:.17g},{v:.17g}\n" for u, v in points))
+        truth.write_text("u,v,X,Y\n" + "".join(f"{u:.17g},{v:.17g},{X:.17g},{Y:.17g}\n"
+                                                for (u, v), (X, Y) in zip(points, world)))
+        model = load_model(model_json.read_text())
+        mapped = [map_point(model, float(u), float(v)) for u, v in points]
+        errors = np.array([(X - tX) ** 2 + (Y - tY) ** 2 for (X, Y), (tX, tY) in zip(mapped, world)])
+
+        out = tmp_path / "mapped.csv"
+        code, stdout, _ = run(capsys, "apply", "--model", str(model_json), "--points", str(pts),
+                              "--out", str(out))
+        assert code == EXIT_OK and stdout == "40\n"
+        rows = [",".join(format(float(c), ".17g") for c in (u, v, X, Y))
+                for (u, v), (X, Y) in zip(points, mapped)]
+        assert out.read_text() == "u,v,X,Y\n" + "\n".join(rows) + "\n"
+
+        code, stdout, _ = run(capsys, "eval", "--model", str(model_json), "--truth", str(truth))
+        assert code == EXIT_OK
+        assert stdout == (f"max_err_mm={np.sqrt(errors.max()):.17g}\n"
+                          f"rms_err_mm={np.sqrt(errors.mean()):.17g}\nn_points=40\n")
+
+    @pytest.mark.parametrize("field, value", [("epsilon", "null"), ("epsilon", "NaN"),
+                                              ("coefficient", "null"), ("coefficient", '"x"')])
+    def test_eval_on_non_numeric_model_field_is_validation_error(self, model_json, pairs_csv, tmp_path,
+                                                                 capsys, field, value):
+        doc = model_json.read_text()
+        if field == "epsilon":
+            doc = doc.replace('"epsilon": 0.5', f'"epsilon": {value}')
+        else:
+            head, sep, tail = doc.partition("[0, 0, ")
+            doc = head + sep + value + tail[tail.index("]"):]
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        code, stdout, stderr = run(capsys, "eval", "--model", str(bad), "--truth", str(pairs_csv))
+        assert code == EXIT_VALIDATION
+        assert stdout == "" and stderr.startswith("error: ") and "Traceback" not in stderr
+
     def test_identity_calibrate_eval_near_zero(self, tmp_path, capsys):
         pairs = tmp_path / "ident.csv"
         rows = ["u,v,X,Y"]
@@ -298,3 +367,11 @@ class TestCalibrationPipeline:
         code, _, stderr = run(capsys, "apply", "--model", str(bad), "--points", "x", "--out", "y")
         assert code == EXIT_VALIDATION
         assert "line" in stderr
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    # scipy.stats costs most of a second per process; only gen noisy-line needs it
+    src = str(Path(cvb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import cvb.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

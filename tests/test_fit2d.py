@@ -1,16 +1,19 @@
 """Bivariate fitting: visit ordering, revisit restriction, triangular surfaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cvb.basis import cheb_zeros
+from cvb.basis import DomainMap, ExtrapolationWarning, cheb_zeros
 from cvb.fit1d import FitConfig
 from cvb.fit2d import (
     ChebModel2D,
     SampleSet2D,
     TermIndex2D,
     cvb_approximate_2d,
+    eval_grid_2d,
     eval_model_2d,
     revisit_set,
     term_matrix,
@@ -216,3 +219,28 @@ class TestEvalModel2D:
         x = np.array([0.0, 0.5])
         y = np.array([0.5, -0.5])
         assert eval_model_2d(model, x, y) == pytest.approx([1.0, -0.5])
+
+
+class TestEvalGrid2D:
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(4)
+        coeffs = {t: rng.uniform(-3, 3) for t in visit_order(6)}
+        return ChebModel2D(coeffs=coeffs, xmap=DomainMap(-50.0, 70.0), ymap=DomainMap(10.0, 30.0), degree_bound=6)
+
+    def test_matches_point_evaluation_over_meshgrid(self, model):
+        x = np.linspace(-50.0, 70.0, 13)
+        y = np.linspace(10.0, 30.0, 7)
+        xx, yy = np.meshgrid(x, y)
+        grid = eval_grid_2d(model, x, y)
+        assert grid.shape == (7, 13)
+        assert np.allclose(grid, eval_model_2d(model, xx, yy), rtol=0, atol=1e-12)
+
+    def test_warns_per_axis_like_point_evaluation(self, model):
+        inside_x, inside_y = np.array([0.0, 70.0]), np.array([10.0, 20.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            eval_grid_2d(model, inside_x, inside_y)
+        for x, y, axis in ((np.array([0.0, 71.0]), inside_y, "x"), (inside_x, np.array([9.0]), "y")):
+            with pytest.warns(ExtrapolationWarning, match=f"fitted {axis} interval"):
+                eval_grid_2d(model, x, y)

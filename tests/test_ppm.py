@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvb.ppm import read_image, write_image
 
@@ -92,6 +93,43 @@ def test_rejects_value_above_maxval(tmp_path):
     path.write_bytes(b"P2\n1 1\n100\n101\n")
     with pytest.raises(ValueError):
         read_image(path)
+
+
+def test_plain_body_may_mix_whitespace(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P2\n3 2\n255\n0\t1\r\n 2\r\r3\n\n4\x0b\x0c5 \t\n")
+    assert read_image(path).tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+@pytest.mark.parametrize("body", [
+    b"1 x 3 4",  # non-numeric token
+    b"1 2 # comment\n3 4",  # comments are allowed in the header only
+    b"1 +2 3 4",  # sign: int() took it, netpbm does not
+    b"1 2_0 3 4",  # digit grouping: int() took it, netpbm does not
+    b"1 -2 3 4",
+    b"1 2.0 3 4",
+    b"1 2 3",  # too few
+    b"1 2 3 4 5",  # too many
+    b"  \n",  # none at all
+    b"1 2 3 99999999999999999999",  # beyond int64
+])
+def test_plain_rejects_malformed_body(tmp_path, body):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n" + body)
+    with pytest.raises(ValueError):
+        read_image(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(0, 255), min_size=1, max_size=40),
+       seps=st.lists(st.text(alphabet=" \t\r\n\x0b\x0c", min_size=1, max_size=3), min_size=41, max_size=41),
+       zeros=st.integers(0, 2))
+def test_plain_parse_agrees_with_per_token_int(tmp_path_factory, values, seps, zeros):
+    tokens = ["0" * zeros + str(v) for v in values]
+    body = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+    path = tmp_path_factory.mktemp("plain") / "img.pgm"
+    path.write_bytes(b"P2\n%d 1\n255\n" % len(values) + body.encode("ascii"))
+    assert read_image(path)[0].tolist() == [int(t) for t in body.split()]
 
 
 def test_rejects_wrong_dtype():

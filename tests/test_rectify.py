@@ -1,13 +1,16 @@
 """Calibration, point mapping, warping, and model serialization."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 from scipy import ndimage
 
 from cvb.fit1d import FitConfig
-from cvb.fit2d import TermIndex2D
+from cvb.fit2d import ChebModel2D, TermIndex2D
 from cvb.rectify import (
     CalibrationMeta,
     CalibrationModel,
@@ -176,6 +179,37 @@ class TestWarp:
         with pytest.raises(ValueError):
             warp_image(broken, np.zeros((4, 4), dtype=np.uint8), WarpSpec(4, 4, (0, 1, 0, 1)))
 
+    def test_matches_meshgrid_oracle_pixel_for_pixel(self, oracle_model):
+        rng = np.random.default_rng(8)
+        w, h = ORACLE.image_size
+        img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        spec = WarpSpec(w, h, (-448.0, 448.0, -336.0, 336.0))
+        # oracle: the point evaluator over a meshgrid, floor, then gather
+        x0, x1, y0, y1 = spec.window
+        wx = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
+        wy = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
+        wxx, wyy = np.meshgrid(wx, wy)
+        inv_u, inv_v = oracle_model.inv_u, oracle_model.inv_v
+        su = np.floor(C.chebval2d(inv_u.xmap.forward(wxx), inv_u.ymap.forward(wyy), inv_u.dense()))
+        sv = np.floor(C.chebval2d(inv_v.xmap.forward(wxx), inv_v.ymap.forward(wyy), inv_v.dense()))
+        valid = (su >= 0) & (su < w) & (sv >= 0) & (sv < h)
+        expected = np.zeros_like(img)
+        expected[valid] = img[sv[valid].astype(int), su[valid].astype(int)]
+        assert valid.mean() > 0.9
+        assert np.array_equal(warp_image(oracle_model, img, spec), expected)
+
+    def test_huge_extrapolated_positions_take_the_fill(self, oracle_model):
+        inv = oracle_model.inv_u
+        huge = ChebModel2D(coeffs={TermIndex2D(0, 0): 1e300}, xmap=inv.xmap, ymap=inv.ymap,
+                           degree_bound=inv.degree_bound)
+        model = CalibrationModel(fwd_x=oracle_model.fwd_x, fwd_y=oracle_model.fwd_y,
+                                 inv_u=huge, inv_v=oracle_model.inv_v, meta=oracle_model.meta)
+        img = np.full((480, 640), 200, dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = warp_image(model, img, WarpSpec(64, 48, (-300.0, 300.0, -200.0, 200.0)), fill=7)
+        assert out.shape == (48, 64) and np.all(out == 7)
+
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
             WarpSpec(width=4, height=4, window=(0, 0, 0, 1))
@@ -294,3 +328,40 @@ class TestSerialization:
         )
         with pytest.raises(ValueError, match="inv_u"):
             save_model(partial)
+
+
+def _document(epsilon="0.5", coefficient="1.0"):
+    sub = '{"xmap": [0, 10], "ymap": [0, 10], "terms": [[0, 0, %s]]}'
+    return (
+        f'{{"version": 1, "epsilon": {epsilon}, "degree_bound": 2, '
+        f'"fwd_x": {sub % coefficient}, "fwd_y": {sub % "1.0"}, '
+        f'"inv_u": {sub % "1.0"}, "inv_v": {sub % "1.0"}}}'
+    )
+
+
+NON_REALS = ["null", '"0.5"', "true", "[1.0]", "NaN", "Infinity", "-Infinity",
+             pytest.param("1" + "0" * 400, id="integer-beyond-float-range")]
+
+
+class TestLoadModelRejectsNonReals:
+    @pytest.mark.parametrize("value", NON_REALS)
+    def test_epsilon(self, value):
+        with pytest.raises(ModelParseError, match="epsilon"):
+            load_model(_document(epsilon=value))
+
+    @pytest.mark.parametrize("value", NON_REALS)
+    def test_term_coefficient(self, value):
+        with pytest.raises(ModelParseError, match="fwd_x"):
+            load_model(_document(coefficient=value))
+
+    @pytest.mark.parametrize("value", ["null", '"0"', "false", "NaN"])
+    def test_domain_bound(self, value):
+        doc = json.loads(_document())
+        doc["inv_v"]["ymap"][0] = json.loads(value)
+        with pytest.raises(ModelParseError, match="inv_v.ymap"):
+            load_model(json.dumps(doc))
+
+    def test_integer_values_are_accepted(self):
+        model = load_model(_document(epsilon="1", coefficient="3"))
+        assert model.meta.epsilon == 1.0
+        assert map_point(model, 5.0, 5.0) == (3.0, 1.0)
