@@ -57,9 +57,12 @@ def _read_csv(path, columns):
             if len(row) != len(columns):
                 raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {row}") from None
+            if not all(np.isfinite(values)):
+                raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows)
@@ -213,17 +216,24 @@ def _parse_floats(text, count, what):
     return [float(p) for p in parts]
 
 
+def _parse_fill(text, channels):
+    """--fill as one 0-255 value, or one per channel of the input image."""
+    parts = text.split(",")
+    if not all(p.strip().isdecimal() and int(p) <= 255 for p in parts):
+        raise ValueError(f"--fill values must be integers in 0-255, got {text!r}")
+    if len(parts) not in (1, channels):
+        raise ValueError(f"--fill has {len(parts)} values but the image has {channels} channel(s)")
+    values = [int(p) for p in parts]
+    return values[0] if len(values) == 1 else np.array(values, dtype=np.uint8)
+
+
 def cmd_warp(args) -> int:
     model = _load_model_file(args.model)
     image = read_image(args.input)
     window = _parse_floats(args.window, 4, "--window")
     width = args.width if args.width is not None else image.shape[1]
     height = args.height if args.height is not None else image.shape[0]
-    if args.fill is None:
-        fill = 0
-    else:
-        values = [int(v) for v in args.fill.split(",")]
-        fill = values[0] if len(values) == 1 else np.array(values, dtype=np.uint8)
+    fill = 0 if args.fill is None else _parse_fill(args.fill, 1 if image.ndim == 2 else image.shape[2])
     out = warp_image(model, image, WarpSpec(width=width, height=height, window=tuple(window)), fill=fill)
     write_image(args.output, out)
     return EXIT_OK

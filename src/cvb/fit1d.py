@@ -8,6 +8,7 @@ reverse-order revisits after every new term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -111,8 +112,34 @@ def residual(gamma, terms, coeffs) -> np.ndarray:
     return g - a @ np.array(rows)
 
 
-def _norms(delta: np.ndarray) -> tuple[float, float]:
-    return float(np.abs(delta).max()), float(np.linalg.norm(delta))
+class _Projector:
+    """The one projection step both fitters share.
+
+    Owns the coefficients ``a`` and the error vector delta = gamma - a @ tau,
+    which it updates in place (O(m) per step) rather than recomputing.  A
+    step projects delta on a direction, moves delta along it, applies the
+    same increment to the coefficients through ``weights`` and traces the
+    residual after the update.
+    """
+
+    def __init__(self, gamma, n, snapshots):
+        self.a = np.zeros(n)
+        self.delta = np.array(gamma, dtype=float)
+        self.trace = []
+        self.snapshots = snapshots
+
+    def step(self, direction, norm2, where, weights, label, kind) -> float:
+        delta = self.delta
+        inc = float((direction @ delta) / norm2)
+        self.a[where] += inc * weights
+        delta -= inc * direction
+        max_abs = float(np.abs(delta).max())
+        self.trace.append(
+            TraceStep(term=label, kind=kind, increment=inc, max_abs_residual=max_abs,
+                      l2_residual=math.sqrt(delta @ delta),
+                      coeffs=tuple(self.a.tolist()) if self.snapshots else None)
+        )
+        return max_abs
 
 
 def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = IDENTITY_MAP):
@@ -121,8 +148,10 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     Each step j projects the current error vector on o_j and distributes the
     increment over the original coefficients via the q triangle, so the fit of
     all earlier terms is preserved exactly.  With max_terms equal to the sample
-    count this interpolates the data.  epsilon only feeds the converged flag,
-    and extra_sweeps is ignored: the schedule is a single fixed pass.
+    count this interpolates the data.  The error vector moves along o_j in
+    place (o_j = sum_k q[j, k] tau_k, so this equals the change of a @ tau).
+    epsilon only feeds the converged flag, and extra_sweeps is ignored: the
+    schedule is a single fixed pass.
     """
     n = config.max_terms
     if n > samples.m:
@@ -133,29 +162,16 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
         if not np.all(np.isfinite(oset.ortho[j])):
             raise FitError(f"orthogonal component of term {j} is not finite")
 
-    gamma = samples.y
-    a = np.zeros(n)
-    trace = []
-    for j in range(n):
-        if j in oset.skipped:
-            continue
-        delta = gamma - a @ tau
+    fit = _Projector(samples.y, n, snapshots=True)
+    for j in oset.retained():
         o_j = oset.ortho[j]
-        oinc = float((o_j @ delta) / (o_j @ o_j))
-        a[: j + 1] += oinc * oset.q[j, : j + 1]
-        delta = gamma - a @ tau
-        max_abs, l2 = _norms(delta)
-        trace.append(
-            TraceStep(term=j, kind="visit", increment=oinc,
-                      max_abs_residual=max_abs, l2_residual=l2,
-                      coeffs=tuple(float(c) for c in a))
-        )
+        max_abs = fit.step(o_j, o_j @ o_j, slice(0, j + 1), oset.q[j, : j + 1], j, "visit")
 
-    final_max = float(np.abs(gamma - a @ tau).max())
+    a = fit.a
     report = FitReport(
-        trace=tuple(trace),
+        trace=tuple(fit.trace),
         terms_used=int(np.count_nonzero(a)),
-        converged=final_max <= config.epsilon,
+        converged=max_abs <= config.epsilon,
         skipped=tuple(sorted(oset.skipped)),
     )
     return ChebModel1D(coeffs=a, xmap=xmap), report
@@ -168,29 +184,14 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
     ``revisits[t]`` the positions revisited after visiting t, already in
     reverse preference order.  ``labels`` maps positions to trace labels;
     when omitted the trace also carries coefficient snapshots (curve case).
-    The error vector is recomputed from scratch after every coefficient
-    change.  Returns (coefficients, trace, converged).
+    Each step projects the error vector on tau_t and updates it in place.
+    Returns (coefficients, trace, converged).
     """
-    a = np.zeros(tau.shape[0])
-    trace = []
+    norm2 = np.einsum("ij,ij->i", tau, tau)
+    fit = _Projector(gamma, tau.shape[0], snapshots=labels is None)
 
     def apply(t, kind):
-        delta = gamma - a @ tau
-        inc = float((tau[t] @ delta) / (tau[t] @ tau[t]))
-        a[t] += inc
-        delta = gamma - a @ tau
-        max_abs, l2 = _norms(delta)
-        trace.append(
-            TraceStep(
-                term=t if labels is None else labels[t],
-                kind=kind,
-                increment=inc,
-                max_abs_residual=max_abs,
-                l2_residual=l2,
-                coeffs=tuple(float(c) for c in a) if labels is None else None,
-            )
-        )
-        return max_abs
+        return fit.step(tau[t], norm2[t], t, 1.0, t if labels is None else labels[t], kind)
 
     max_abs = float(np.abs(gamma).max())
     for _ in range(config.extra_sweeps + 1):
@@ -204,7 +205,7 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
             max_abs = apply(t, "visit")
             for k in revisits[t]:
                 max_abs = apply(k, "revisit")
-    return a, trace, max_abs <= config.epsilon
+    return fit.a, fit.trace, max_abs <= config.epsilon
 
 
 def cvb_approximate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = IDENTITY_MAP):

@@ -32,6 +32,33 @@ class TermIndex2D(NamedTuple):
     j: int
 
 
+def _has_close_pair(x, y) -> bool:
+    """Whether two points satisfy dx^2 + dy^2 <= MIN_NODE_GAP^2, in O(m) memory.
+
+    Points are sorted by x, then y.  Each point i is paired with a candidate j
+    after it, and a pair is only compared while dx^2 <= MIN_NODE_GAP^2; past
+    that, every later j has a larger dx, so i drops out.  Within a run of equal
+    x only the next point can be the closest (y is sorted), so the candidate
+    then jumps to the first point of the next x.
+    """
+    gap2 = MIN_NODE_GAP**2
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    run_end = np.searchsorted(xs, xs, side="right")
+    i = np.arange(xs.size - 1)
+    j = i + 1
+    while i.size:
+        dx = xs[j] - xs[i]
+        dy = ys[j] - ys[i]
+        near = dx * dx <= gap2
+        if np.any(dx[near] ** 2 + dy[near] ** 2 <= gap2):
+            return True
+        j = np.where(dx == 0.0, run_end[i], j + 1)
+        keep = near & (j < xs.size)
+        i, j = i[keep], j[keep]
+    return False
+
+
 @dataclass(frozen=True)
 class SampleSet2D:
     """Sample points (x_i, y_i, z_i) with distinct (x, y) pairs in [-1, 1]^2."""
@@ -52,13 +79,8 @@ class SampleSet2D:
             raise ValueError("sample values must be finite")
         x = _clip_unit(x, "sample x")
         y = _clip_unit(y, "sample y")
-        if x.size > 1:
-            dx = x[:, None] - x[None, :]
-            dy = y[:, None] - y[None, :]
-            gap2 = dx * dx + dy * dy
-            np.fill_diagonal(gap2, np.inf)
-            if gap2.min() <= MIN_NODE_GAP**2:
-                raise ValueError(f"sample (x, y) pairs must be distinct (min gap {MIN_NODE_GAP})")
+        if _has_close_pair(x, y):
+            raise ValueError(f"sample (x, y) pairs must be distinct (min gap {MIN_NODE_GAP})")
         for v in (x, y, z):
             v.flags.writeable = False
         object.__setattr__(self, "x", x)

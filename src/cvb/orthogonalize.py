@@ -72,26 +72,23 @@ def orthogonalize(terms, reorthogonalize: bool = False) -> OrthoSet:
     norm2 = np.zeros(n)
 
     for j in range(n):
-        w = tau[j].copy()
-        for k in range(j):
-            if k in skipped:
-                continue
-            p[j, k] = (tau[j] @ ortho[k]) / norm2[k]
-            w -= p[j, k] * ortho[k]
+        # classical Gram-Schmidt projects tau_j (not the running remainder),
+        # so the whole row of p is one product over the retained o_k
+        live = [k for k in range(j) if k not in skipped]
+        o_live = ortho[live]
+        p[j, live] = (o_live @ tau[j]) / norm2[live]
+        w = tau[j] - p[j, live] @ o_live
         if reorthogonalize:
-            for k in range(j):
-                if k in skipped:
-                    continue
-                extra = (w @ ortho[k]) / norm2[k]
-                p[j, k] += extra
-                w -= extra * ortho[k]
+            extra = (o_live @ w) / norm2[live]
+            p[j, live] += extra
+            w -= extra @ o_live
         ortho[j] = w
         norm2[j] = w @ w
         if norm2[j] <= DEGENERATE_REL * (tau[j] @ tau[j]):
             skipped.add(j)
+        # row j of q depends only on earlier rows: o_j = tau_j - sum_k p[j, k] o_k
+        q[j, :j] = -p[j, :j] @ q[:j, :j]
         q[j, j] = 1.0
-        for k in range(j - 1, -1, -1):
-            q[j, k] = -np.dot(p[j, k:j], q[k:j, k])
 
     ortho.flags.writeable = False
     p.flags.writeable = False

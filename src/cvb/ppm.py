@@ -39,7 +39,10 @@ def _header_tokens(data: bytes, count: int):
 
 
 def read_image(path) -> np.ndarray:
-    """Load a PPM/PGM file; grayscale gives (h, w), color gives (h, w, 3)."""
+    """Load a PPM/PGM file; grayscale gives (h, w), color gives (h, w, 3).
+
+    Values are returned on a 0-255 scale whatever the file's maxval.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     (magic,), _ = _header_tokens(data, 1)
@@ -71,6 +74,9 @@ def read_image(path) -> np.ndarray:
         flat = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
     if flat.min(initial=0) < 0 or flat.max(initial=0) > maxval:
         raise ValueError(f"pixel values must lie in [0, {maxval}]")
+    if maxval != 255:
+        # images are held at maxval 255 (what write_image writes): rescale, rounding half up
+        flat = (flat * 255 + maxval // 2) // maxval
     img = flat.astype(np.uint8).reshape(
         (height, width) if channels == 1 else (height, width, 3)
     )

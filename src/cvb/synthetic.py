@@ -120,11 +120,12 @@ def distort(params: DistortionParams, X, Y):
 
 
 def max_displacement_px(params: DistortionParams, step: float = 1.0) -> float:
-    """Brute-force maximum pincushion displacement over the frame, in pixels.
+    """Maximum pincushion displacement over the frame, in pixels.
 
-    Compares the full map against the same map with pincushion zero, over a
-    pixel grid of the given step; the displacement grows with radius, so the
-    maximum sits at the frame corners.
+    Evaluates the analytic radial push |pincushion| * r^3 / R^2 (R the half
+    diagonal, r the distance from the image center) at every point of a pixel
+    grid of the given step.  The push grows with r, so the maximum sits at
+    the frame corners.
     """
     w, h = params.image_size
     u = np.arange(0.0, w + step / 2, step)

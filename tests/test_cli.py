@@ -375,3 +375,106 @@ def test_importing_the_cli_does_not_load_scipy_stats():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import cvb.cli, sys; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.fixture
+def identity_model(tmp_path, capsys):
+    """Identity calibration over a 16 x 12 pixel frame."""
+    pairs = tmp_path / "ident.csv"
+    rows = ["u,v,X,Y"] + [f"{u},{v},{u},{v}" for u in np.linspace(0, 16, 4) for v in np.linspace(0, 12, 5)]
+    pairs.write_text("\n".join(rows) + "\n")
+    model = tmp_path / "ident.json"
+    code, _, _ = run(capsys, "calibrate", "--pairs", str(pairs), "--epsilon", "1e-9",
+                     "--degree-bound", "4", "--out", str(model))
+    assert code == EXIT_OK
+    return model
+
+
+@pytest.fixture(params=["gray", "color"])
+def frame(request, tmp_path):
+    rng = np.random.default_rng(2)
+    shape = (12, 16) if request.param == "gray" else (12, 16, 3)
+    path = tmp_path / "in.img"
+    write_image(path, rng.integers(0, 256, size=shape, dtype=np.uint8))
+    return request.param, path
+
+
+@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
+class TestWarpFill:
+    def warp(self, capsys, model, src, out, fill):
+        # the left third of the window lies outside the source frame
+        return run(capsys, "warp", "--model", str(model), "--input", str(src), "--output", str(out),
+                   "--window=-8,16,0,12", "--width", "24", f"--fill={fill}")
+
+    @pytest.mark.parametrize("fill", ["300", "256", "-1", "1.5", "abc", "", " ", "0x10", "1e2",
+                                      "1,2", "1,2,3,4", "1,,3", "1,2,300", "²"])
+    def test_bad_fill_is_validation_error(self, identity_model, frame, tmp_path, capsys, fill):
+        kind, src = frame
+        out = tmp_path / "out.img"
+        code, _, stderr = self.warp(capsys, identity_model, src, out, fill)
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: --fill") and "Traceback" not in stderr
+        assert not out.exists()
+
+    def test_triple_fill_on_grayscale_is_validation_error(self, identity_model, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_image(src, np.zeros((12, 16), dtype=np.uint8))
+        code, _, stderr = self.warp(capsys, identity_model, src, tmp_path / "out.pgm", "1,2,3")
+        assert code == EXIT_VALIDATION and "1 channel" in stderr
+
+    @pytest.mark.parametrize("fill, expect", [("7", 7), ("0", 0), ("255", 255), (" 9", 9)])
+    def test_scalar_fill(self, identity_model, frame, tmp_path, capsys, fill, expect):
+        kind, src = frame
+        out = tmp_path / "out.img"
+        code, _, _ = self.warp(capsys, identity_model, src, out, fill)
+        assert code == EXIT_OK
+        img = read_image(out)
+        assert (img[:, :8] == expect).all()
+        assert np.array_equal(img[:, 8:], read_image(src))
+
+    def test_per_channel_fill(self, identity_model, tmp_path, capsys):
+        src = tmp_path / "in.ppm"
+        write_image(src, np.full((12, 16, 3), 200, dtype=np.uint8))
+        out = tmp_path / "out.ppm"
+        code, _, _ = self.warp(capsys, identity_model, src, out, "1,2,3")
+        assert code == EXIT_OK
+        img = read_image(out)
+        assert (img[:, :8] == [1, 2, 3]).all() and (img[:, 8:] == 200).all()
+
+
+class TestNonFiniteCsvFields:
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    def test_apply(self, identity_model, tmp_path, capsys, value):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"u,v\n1,2\n{value},5\n")
+        out = tmp_path / "mapped.csv"
+        code, stdout, stderr = run(capsys, "apply", "--model", str(identity_model), "--points", str(pts),
+                                   "--out", str(out))
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith(f"error: {pts}:3: non-finite field")
+        assert not out.exists()
+
+    def test_calibrate(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("u,v,X,Y\n0,0,0,0\n1,0,1,0\n0,1,0,inf\n1,1,1,1\n")
+        model = tmp_path / "model.json"
+        code, _, stderr = run(capsys, "calibrate", "--pairs", str(pairs), "--degree-bound", "2",
+                              "--out", str(model))
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith(f"error: {pairs}:4: non-finite field")
+        assert not model.exists()
+
+    def test_eval(self, identity_model, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("u,v,X,Y\n1,2,1,2\n\n3,4,nan,4\n")
+        code, stdout, stderr = run(capsys, "eval", "--model", str(identity_model), "--truth", str(truth))
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith(f"error: {truth}:4: non-finite field")
+
+    def test_fit_inputs(self, tmp_path, capsys):
+        for cmd, text in (("fit1d", "x,y\n0,1\n1,nan\n"), ("fit2d", "x,y,z\n0,0,1\n1,1,-inf\n")):
+            data = tmp_path / f"{cmd}.csv"
+            data.write_text(text)
+            code, _, stderr = run(capsys, cmd, "--input", str(data))
+            assert code == EXIT_VALIDATION
+            assert stderr.startswith(f"error: {data}:3: non-finite field")

@@ -295,3 +295,58 @@ class TestEvalModel:
             ChebModel1D(coeffs=[])
         with pytest.raises(ValueError):
             ChebModel1D(coeffs=[1.0, float("nan")])
+
+
+RUNGE_15 = SampleSet1D(x=np.linspace(-1, 1, 15), y=runge(np.linspace(-1, 1, 15)))
+
+
+class TestIncrementalResidual:
+    """The engine updates the error vector in place; a full recompute must agree."""
+
+    @staticmethod
+    def assert_trace_matches_recompute(samples, n, report):
+        tau = cheb_columns(samples.x, n).T
+        scale = max(1.0, float(np.abs(samples.y).max()))
+        for step in report.trace:
+            delta = samples.y - np.array(step.coeffs) @ tau
+            assert abs(step.max_abs_residual - np.abs(delta).max()) <= 1e-12 * scale
+            assert abs(step.l2_residual - np.linalg.norm(delta)) <= 1e-12 * scale
+
+    def test_approximation_with_extra_sweeps(self):
+        config = FitConfig(epsilon=0.0, max_terms=15, extra_sweeps=50)
+        _, report = cvb_approximate(RUNGE_15, config)
+        assert len(report.trace) == 51 * (15 + 15 * 14 // 2)  # every visit and revisit, every sweep
+        self.assert_trace_matches_recompute(RUNGE_15, 15, report)
+
+    def test_interpolation(self):
+        _, report = cvb_interpolate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=15))
+        assert len(report.trace) == 15
+        self.assert_trace_matches_recompute(RUNGE_15, 15, report)
+
+    def test_least_squares_limit(self):
+        # the sweeps are cyclic coordinate descent on ||gamma - a tau||^2
+        n = 6
+        model, _ = cvb_approximate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=n, extra_sweeps=400))
+        expect, *_ = np.linalg.lstsq(cheb_columns(RUNGE_15.x, n), RUNGE_15.y, rcond=None)
+        assert model.coeffs == pytest.approx(expect, abs=1e-12)
+
+    def test_interpolation_oracle_below_sample_count(self):
+        # n < m: the last step leaves the least-squares fit over the first n columns
+        n = 9
+        model, _ = cvb_interpolate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=n))
+        expect, *_ = np.linalg.lstsq(cheb_columns(RUNGE_15.x, n), RUNGE_15.y, rcond=None)
+        assert model.coeffs == pytest.approx(expect, abs=1e-12)
+
+    def test_exactly_representable_data_keeps_every_step(self):
+        samples = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[2.5, 2.5, 2.5])
+        model, report = cvb_interpolate(samples, FitConfig(epsilon=0.0, max_terms=3))
+        assert [s.term for s in report.trace] == [0, 1, 2]
+        assert report.converged
+        assert model.coeffs.tolist() == [2.5, 0.0, 0.0]
+        assert [s.max_abs_residual for s in report.trace] == [0.0, 0.0, 0.0]
+
+    def test_exactly_representable_data_stops_approximation_after_first_visit(self):
+        samples = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[2.5, 2.5, 2.5])
+        _, report = cvb_approximate(samples, FitConfig(epsilon=0.0, max_terms=3))
+        assert [(s.term, s.kind) for s in report.trace] == [(0, "visit")]
+        assert report.converged and report.terms_used == 1

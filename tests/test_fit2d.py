@@ -1,12 +1,13 @@
 """Bivariate fitting: visit ordering, revisit restriction, triangular surfaces."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cvb.basis import DomainMap, ExtrapolationWarning, cheb_zeros
+from cvb.basis import MIN_NODE_GAP, DomainMap, ExtrapolationWarning, cheb_zeros
 from cvb.fit1d import FitConfig
 from cvb.fit2d import (
     ChebModel2D,
@@ -193,6 +194,108 @@ class TestApproximate2D:
         assert zero_visits, "expected at least one zero-increment visit"
         revisited = {t.term for t in report.trace if t.kind == "revisit"}
         assert T(0, 0) in revisited
+
+
+def has_close_pair_brute_force(x, y):
+    """All-pairs check, m x m memory: is some dx^2 + dy^2 <= MIN_NODE_GAP^2?"""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    gap2 = dx * dx + dy * dy
+    np.fill_diagonal(gap2, np.inf)
+    return bool(gap2.min() <= MIN_NODE_GAP**2)
+
+
+def builds(x, y):
+    try:
+        SampleSet2D(x=x, y=y, z=np.zeros(len(x)))
+    except ValueError as exc:
+        assert "distinct" in str(exc)
+        return False
+    return True
+
+
+def calibration_grid(nx, ny):
+    xx, yy = np.meshgrid(np.linspace(-0.9, 0.9, nx), np.linspace(-0.9, 0.9, ny))
+    return xx.ravel(), yy.ravel()
+
+
+class TestDistinctPairs:
+    # offsets straddling the gap, including dx^2 + dy^2 right at MIN_NODE_GAP^2
+    OFFSETS = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.6, 0.8), (0.8, 0.6), (0.7, 0.7),
+               (1.0, 0.0), (0.0, 1.0), (1.0, 1e-3), (0.0, 1.5), (1.5, 0.0), (2.0, 2.0)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_all_pairs_check(self, seed):
+        rng = np.random.default_rng(seed)
+        cols = rng.uniform(-0.9, 0.9, int(rng.integers(1, 6)))
+        x = rng.choice(cols, int(rng.integers(2, 40)))  # exact-tie columns
+        y = rng.uniform(-0.9, 0.9, x.size)
+        for _ in range(int(rng.integers(0, 3))):
+            k = int(rng.integers(x.size))
+            ox, oy = self.OFFSETS[int(rng.integers(len(self.OFFSETS)))]
+            x = np.append(x, x[k] + ox * MIN_NODE_GAP * rng.choice([-1, 1]))
+            y = np.append(y, y[k] + oy * MIN_NODE_GAP * rng.choice([-1, 1]))
+        perm = rng.permutation(x.size)
+        x, y = x[perm], y[perm]
+        assert builds(x, y) == (not has_close_pair_brute_force(x, y))
+
+    @pytest.mark.parametrize("ox, oy", OFFSETS)
+    def test_planted_offset_matches_rule(self, ox, oy):
+        x, y = calibration_grid(5, 4)
+        x = np.append(x, x[7] + ox * MIN_NODE_GAP)
+        y = np.append(y, y[7] + oy * MIN_NODE_GAP)
+        assert builds(x, y) == (not has_close_pair_brute_force(x, y))
+
+    def test_tie_columns_pass_and_reject_in_column_near_duplicate(self):
+        x, y = calibration_grid(6, 3)
+        assert builds(x, y)
+        assert not builds(np.append(x, x[4]), np.append(y, y[4] + 0.5 * MIN_NODE_GAP))
+        # a near-duplicate in the neighbouring column position, x just above a tie run
+        assert not builds(np.append(x, x[4] + 0.5 * MIN_NODE_GAP), np.append(y, y[4]))
+        assert builds(np.append(x, x[4] + 3 * MIN_NODE_GAP), np.append(y, y[4]))
+
+    def test_single_column(self):
+        y = np.linspace(-1, 1, 5000)
+        assert builds(np.zeros_like(y), y)
+        assert not builds(np.zeros(3), [0.1, 0.2, 0.1])
+
+    def test_fifty_thousand_points_in_linear_memory(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-1, 1, 50_000), rng.uniform(-1, 1, 50_000)
+        tracemalloc.start()
+        try:
+            assert builds(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # an all-pairs matrix would need 20 GB
+        x[123], y[123] = x[40_000] + 0.3 * MIN_NODE_GAP, y[40_000] - 0.3 * MIN_NODE_GAP
+        assert not builds(x, y)
+
+    def test_fifty_thousand_point_grid_with_tie_columns(self):
+        x, y = calibration_grid(250, 200)
+        assert builds(x, y)
+        assert not builds(np.append(x, x[-77]), np.append(y, y[-77]))
+
+
+class TestIncrementalResidual2D:
+    def test_replayed_trace_matches_full_recompute(self):
+        # surface traces carry no snapshots: rebuild the coefficients from the increments
+        rng = np.random.default_rng(5)
+        s = grid_samples(7, lambda x, y: np.exp(x) * np.cos(2 * y) + 0.1 * rng.standard_normal(x.shape))
+        n = 5
+        _, report = cvb_approximate_2d(s, FitConfig(epsilon=0.0, max_terms=n, extra_sweeps=20))
+        order = visit_order(n)
+        tau = term_matrix(s, order)
+        pos = {t: p for p, t in enumerate(order)}
+        a = np.zeros(len(order))
+        scale = max(1.0, float(np.abs(s.z).max()))
+        for step in report.trace:
+            a[pos[step.term]] += step.increment
+            delta = s.z - a @ tau
+            assert abs(step.max_abs_residual - np.abs(delta).max()) <= 1e-12 * scale
+            assert abs(step.l2_residual - np.linalg.norm(delta)) <= 1e-12 * scale
 
 
 class TestEvalModel2D:

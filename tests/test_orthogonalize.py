@@ -151,3 +151,89 @@ class TestDegenerateInput:
             )
 
         assert worst(tight) <= worst(plain)
+
+
+def per_k_loop_gram_schmidt(tau, reorthogonalize=False, degenerate_rel=1e-12):
+    """Literal per-k transcription: one projection, one subtraction at a time.
+
+    p[j, k] projects tau_j on each retained o_k, the optional second pass
+    projects the running remainder, and q is back-substituted term by term.
+    """
+    n = tau.shape[0]
+    ortho, p, q, norm2 = np.zeros_like(tau), np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+    skipped = set()
+    for j in range(n):
+        w = tau[j].copy()
+        for k in range(j):
+            if k in skipped:
+                continue
+            p[j, k] = (tau[j] @ ortho[k]) / norm2[k]
+            w -= p[j, k] * ortho[k]
+        if reorthogonalize:
+            for k in range(j):
+                if k in skipped:
+                    continue
+                extra = (w @ ortho[k]) / norm2[k]
+                p[j, k] += extra
+                w -= extra * ortho[k]
+        ortho[j] = w
+        norm2[j] = w @ w
+        if norm2[j] <= degenerate_rel * (tau[j] @ tau[j]):
+            skipped.add(j)
+        q[j, j] = 1.0
+        for k in range(j - 1, -1, -1):
+            q[j, k] = -sum(p[j, i] * q[i, k] for i in range(k, j))
+    return ortho, p, q, frozenset(skipped)
+
+
+def dependent_terms(seed):
+    """Well-conditioned terms with exact copies and sums of earlier rows mixed in."""
+    rng = np.random.default_rng(seed)
+    base = random_terms(seed, m=10, n=7)
+    rows = list(base)
+    for _ in range(3):
+        pos = int(rng.integers(1, len(rows)))
+        a, b = rng.choice(pos, size=2)
+        rows.insert(pos, 2.0 * rows[a] - 0.5 * rows[b])
+    return np.array(rows)
+
+
+class TestMatchesPerKLoop:
+    @pytest.mark.parametrize("reorth", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_well_conditioned(self, seed, reorth):
+        tau = random_terms(seed)
+        oset = orthogonalize(tau, reorthogonalize=reorth)
+        ortho, p, q, skipped = per_k_loop_gram_schmidt(tau, reorth)
+        assert oset.skipped == skipped
+        assert np.allclose(oset.ortho, ortho, rtol=0, atol=1e-12)
+        assert np.allclose(oset.p, p, rtol=0, atol=1e-11)
+        assert np.allclose(oset.q, q, rtol=0, atol=1e-10 * max(1.0, np.abs(q).max()))
+
+    @pytest.mark.parametrize("reorth", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_with_skipped_terms(self, seed, reorth):
+        tau = dependent_terms(seed)
+        oset = orthogonalize(tau, reorthogonalize=reorth)
+        ortho, p, q, skipped = per_k_loop_gram_schmidt(tau, reorth)
+        assert len(skipped) == 3
+        assert oset.skipped == skipped
+        kept = oset.retained()
+        assert np.allclose(oset.ortho[kept], ortho[kept], rtol=0, atol=1e-12)
+        assert np.allclose(oset.p, p, rtol=0, atol=1e-11)
+        assert np.allclose(oset.q, q, rtol=0, atol=1e-10 * max(1.0, np.abs(q).max()))
+        # a skipped term contributes nothing to any later row of p
+        assert not oset.p[:, sorted(skipped)].any()
+
+    @pytest.mark.parametrize("width, n, n_skipped", [(1.0, 10, 0), (0.6, 8, 0), (0.2, 12, 3)])
+    def test_reorthogonalize_on_ill_conditioned_terms(self, width, n, n_skipped):
+        # nodes crowded into part of the interval: the plain pass loses
+        # orthogonality, so the second pass makes a first-order correction
+        tau = cheb_columns(np.linspace(-1.0, -1.0 + width, 12), n).T
+        oset = orthogonalize(tau, reorthogonalize=True)
+        ortho, _, _, skipped = per_k_loop_gram_schmidt(tau, reorthogonalize=True)
+        assert oset.skipped == skipped and len(skipped) == n_skipped
+        kept = oset.retained()
+        assert np.allclose(oset.ortho[kept], ortho[kept], rtol=0, atol=1e-10)
+        o = oset.ortho[kept] / np.linalg.norm(oset.ortho[kept], axis=1)[:, None]
+        assert np.abs(o @ o.T - np.eye(len(kept))).max() <= 1e-14

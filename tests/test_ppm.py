@@ -1,5 +1,7 @@
 """PPM/PGM raster round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,3 +137,41 @@ def test_plain_parse_agrees_with_per_token_int(tmp_path_factory, values, seps, z
 def test_rejects_wrong_dtype():
     with pytest.raises(ValueError):
         write_image("/tmp/never-written.ppm", np.zeros((2, 2), dtype=np.float64))
+
+
+@pytest.mark.parametrize("magic", [b"P2", b"P5"])
+def test_low_maxval_is_rescaled_and_round_trips(tmp_path, magic):
+    values = list(range(16))
+    body = " ".join(map(str, values)).encode() if magic == b"P2" else bytes(values)
+    src = tmp_path / "in.pgm"
+    src.write_bytes(magic + b"\n16 1\n15\n" + body)
+    img = read_image(src)
+    # 15 is full scale: it must come back as 255, not 15/255 of it
+    assert img[0].tolist() == [(v * 255 + 7) // 15 for v in values] == [17 * v for v in values]
+    dst = tmp_path / "out.pgm"
+    write_image(dst, img)
+    assert dst.read_bytes() == b"P5\n16 1\n255\n" + bytes(17 * v for v in values)
+    assert np.array_equal(read_image(dst), img)
+
+
+@pytest.mark.parametrize("maxval", [1, 2, 7, 100, 128, 254])
+def test_rescale_rounds_half_up_for_every_value(tmp_path, maxval):
+    values = list(range(maxval + 1))
+    path = tmp_path / "img.ppm"
+    path.write_bytes(b"P3\n%d 1\n%d\n" % (len(values), maxval)
+                     + " ".join(f"{v} {v} {v}" for v in values).encode())
+    expect = [int(math.floor(v * 255 / maxval + 0.5)) for v in values]
+    assert read_image(path)[0, :, 0].tolist() == expect
+    assert expect[0] == 0 and expect[-1] == 255
+
+
+@pytest.mark.parametrize("magic, plain", [(b"P5", False), (b"P6", False), (b"P2", True), (b"P3", True)])
+def test_maxval_255_files_are_byte_identical_after_round_trip(tmp_path, magic, plain):
+    rng = np.random.default_rng(4)
+    shape = (3, 5) if magic in (b"P2", b"P5") else (3, 5, 3)
+    img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    a, b = tmp_path / "a.img", tmp_path / "b.img"
+    write_image(a, img, plain=plain)
+    assert a.read_bytes().startswith(magic)
+    write_image(b, read_image(a), plain=plain)
+    assert a.read_bytes() == b.read_bytes()
