@@ -13,12 +13,8 @@ from .basis import (
     ExtrapolationWarning,
     IDENTITY_MAP,
     SampleSet1D,
-    TermVector,
     auto_map,
-    cheb_eval,
     cheb_zeros,
-    term_vector_1d,
-    term_vector_2d,
 )
 from .fit1d import (
     ChebModel1D,
@@ -29,7 +25,6 @@ from .fit1d import (
     cvb_approximate,
     cvb_interpolate,
     eval_model_1d,
-    residual,
 )
 from .fit2d import (
     ChebModel2D,

@@ -1,18 +1,14 @@
-"""Chebyshev basis evaluation, root placement, domain normalization, term vectors."""
+"""Chebyshev basis columns, root placement, domain normalization, 1-D sample sets."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-if TYPE_CHECKING:
-    from .fit2d import SampleSet2D
-
-# How far |x| may overshoot 1 before evaluation refuses instead of clamping.
+# How far a sample |x| may overshoot 1 before it is refused instead of clamped.
 CLAMP_TOL = 1e-12
 # Sample abscissae closer than this are treated as duplicates.
 MIN_NODE_GAP = 1e-12
@@ -111,52 +107,6 @@ class SampleSet1D:
     def m(self) -> int:
         return self.x.size
 
-    @property
-    def points(self):
-        return list(zip(self.x.tolist(), self.y.tolist()))
-
-
-@dataclass(frozen=True)
-class TermVector:
-    """Values of one basis polynomial at the m sample points.
-
-    ``index`` is the term label: an int j for T_j, a pair (j, k) for T_j(x)T_k(y).
-    """
-
-    index: object
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.components, dtype=float))
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("components must be a non-empty 1-D array")
-        c.flags.writeable = False
-        object.__setattr__(self, "components", c)
-
-    @property
-    def m(self) -> int:
-        return self.components.size
-
-
-def cheb_eval(j: int, x: float) -> float:
-    """First-kind Chebyshev value T_j(x) by the three-term recurrence.
-
-    x may overshoot [-1, 1] by at most CLAMP_TOL (it is clamped); anything
-    further out is a domain error.
-    """
-    if j < 0:
-        raise ValueError(f"term order must be non-negative, got {j}")
-    x = float(x)
-    if abs(x) > 1.0 + CLAMP_TOL:
-        raise ValueError(f"x={x!r} lies outside [-1, 1]")
-    x = -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
-    if j == 0:
-        return 1.0
-    t_prev, t_cur = 1.0, x
-    for _ in range(j - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur
-
 
 def cheb_zeros(n: int) -> np.ndarray:
     """The n roots of T_n, cos((2j-1)pi/2n) for j=1..n, in descending order."""
@@ -173,27 +123,11 @@ def cheb_columns(x, count: int) -> np.ndarray:
     return _cheb.chebvander(np.asarray(x, dtype=float), count - 1)
 
 
-def term_vector_1d(j: int, samples: SampleSet1D) -> TermVector:
-    """Term vector tau_j: component i equals T_j(x_i)."""
-    if j < 0:
-        raise ValueError(f"term order must be non-negative, got {j}")
-    return TermVector(index=j, components=cheb_columns(samples.x, j + 1)[:, j])
-
-
-def term_vector_2d(j: int, k: int, samples: "SampleSet2D") -> TermVector:
-    """Term vector tau_{j,k}: component i equals T_j(x_i) * T_k(y_i)."""
-    if j < 0 or k < 0:
-        raise ValueError(f"term orders must be non-negative, got ({j}, {k})")
-    tx = cheb_columns(samples.x, j + 1)[:, j]
-    ty = cheb_columns(samples.y, k + 1)[:, k]
-    return TermVector(index=(j, k), components=tx * ty)
-
-
-def warn_if_extrapolating(xmap: DomainMap, x, axis: str = "x") -> None:
+def warn_if_extrapolating(xmap: DomainMap, x, axis: str = "x", stacklevel: int = 3) -> None:
     """Emit ExtrapolationWarning when any evaluation point leaves the fit interval."""
     if not np.all(xmap.contains(np.asarray(x, dtype=float))):
         warnings.warn(
             f"evaluation outside the fitted {axis} interval [{xmap.lo}, {xmap.hi}]",
             ExtrapolationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )

@@ -20,6 +20,7 @@ from .rectify import (
     Correspondence,
     ModelParseError,
     WarpSpec,
+    _fmt,
     calibrate,
     load_model,
     map_point,
@@ -34,10 +35,6 @@ EXIT_IO = 2
 EXIT_NOT_CONVERGED = 3
 
 GEN_KINDS = ("runge", "humped-flat", "noisy-line", "correspondences")
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _read_csv(path, columns):
@@ -69,11 +66,12 @@ def _read_csv(path, columns):
 
 
 def _write_csv(path, columns, rows):
+    # format first: a non-finite value raises before the file is touched
+    text = [[_fmt(v) for v in row] for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(text)
 
 
 def _load_samples_1d(path):

@@ -19,7 +19,6 @@ from .basis import (
     IDENTITY_MAP,
     DomainMap,
     SampleSet1D,
-    TermVector,
     cheb_columns,
     warn_if_extrapolating,
 )
@@ -99,19 +98,6 @@ class ChebModel1D:
         return self.coeffs.size
 
 
-def residual(gamma, terms, coeffs) -> np.ndarray:
-    """Error vector delta = gamma - sum_j a_j tau_j."""
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    rows = [t.components if isinstance(t, TermVector) else np.asarray(t, dtype=float) for t in terms]
-    if len(rows) != a.size:
-        raise ValueError(f"{len(rows)} term vectors but {a.size} coefficients")
-    for r in rows:
-        if r.shape != g.shape:
-            raise ValueError("term vectors and gamma must share dimension")
-    return g - a @ np.array(rows)
-
-
 class _Projector:
     """The one projection step both fitters share.
 
@@ -150,6 +136,8 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     all earlier terms is preserved exactly.  With max_terms equal to the sample
     count this interpolates the data.  The error vector moves along o_j in
     place (o_j = sum_k q[j, k] tau_k, so this equals the change of a @ tau).
+    ``orthogonalize`` projects a term twice where one pass cancels more than
+    half its squared norm, so crowded nodes are interpolated exactly too.
     epsilon only feeds the converged flag, and extra_sweeps is ignored: the
     schedule is a single fixed pass.
     """

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .basis import (
     IDENTITY_MAP,
@@ -90,10 +89,6 @@ class SampleSet2D:
     @property
     def m(self) -> int:
         return self.x.size
-
-    @property
-    def points(self):
-        return list(zip(self.x.tolist(), self.y.tolist(), self.z.tolist()))
 
 
 @dataclass(frozen=True)
@@ -200,29 +195,39 @@ def cvb_approximate_2d(
     return model, report
 
 
-def eval_model_2d(model: ChebModel2D, x, y):
-    """Evaluate the fitted surface at raw coordinates (scalars or arrays)."""
+def _axis_columns(model: ChebModel2D, x, y):
+    """Chebyshev columns Vx, Vy of raw x and y, warning per axis on extrapolation."""
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    warn_if_extrapolating(model.xmap, x_arr, axis="x")
-    warn_if_extrapolating(model.ymap, y_arr, axis="y")
-    value = _cheb.chebval2d(model.xmap.forward(x_arr), model.ymap.forward(y_arr), model.dense())
-    return float(value) if np.ndim(x) == 0 and np.ndim(y) == 0 else value
+    # one frame deeper than a public evaluator, so warnings name its caller
+    warn_if_extrapolating(model.xmap, x_arr, axis="x", stacklevel=4)
+    warn_if_extrapolating(model.ymap, y_arr, axis="y", stacklevel=4)
+    vx = cheb_columns(model.xmap.forward(x_arr), model.degree_bound)
+    vy = cheb_columns(model.ymap.forward(y_arr), model.degree_bound)
+    return vx, vy
+
+
+def eval_model_2d(model: ChebModel2D, x, y):
+    """Evaluate the fitted surface at raw coordinates (scalars or arrays).
+
+    x and y must share one shape; P(x_i, y_i) = Vx[i] . C . Vy[i] is summed
+    point by point, so a batch gives the same bits as one call per point.
+    """
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"x and y must share one shape, got {np.shape(x)} and {np.shape(y)}")
+    vx, vy = _axis_columns(model, x, y)
+    value = np.einsum("...i,ij,...j->...", vx, model.dense(), vy)
+    return float(value[0]) if np.ndim(x) == 0 else value
 
 
 def eval_grid_2d(model: ChebModel2D, x, y) -> np.ndarray:
     """Evaluate the fitted surface on the tensor grid of raw 1-D axes.
 
     Returns the (len(y), len(x)) array whose entry [r, c] is P(x[c], y[r]),
-    the layout of ``eval_model_2d`` over ``np.meshgrid(x, y)``.  The series is
-    separable, so P = Vy . C^T . Vx^T with Vx, Vy the Chebyshev columns of
-    each axis: two matrix products, O(n W H), where a Clenshaw pass per grid
-    point costs O(n^2 W H).  Values agree with ``eval_model_2d`` to rounding.
+    the layout of ``eval_model_2d`` over ``np.meshgrid(x, y)``, from the same
+    Chebyshev columns.  The series is separable, so P = Vy . C^T . Vx^T: two
+    matrix products, O(n W H), where one sum per grid point costs O(n^2 W H).
+    Values agree with ``eval_model_2d`` to rounding.
     """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    warn_if_extrapolating(model.xmap, x_arr, axis="x")
-    warn_if_extrapolating(model.ymap, y_arr, axis="y")
-    vx = cheb_columns(model.xmap.forward(x_arr), model.degree_bound)
-    vy = cheb_columns(model.ymap.forward(y_arr), model.degree_bound)
+    vx, vy = _axis_columns(model, x, y)
     return vy @ model.dense().T @ vx.T

@@ -15,12 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import DomainMap, auto_map
+from .basis import MIN_NODE_GAP, DomainMap, auto_map
 from .fit1d import FitConfig, FitError
 from .fit2d import (
     ChebModel2D,
     SampleSet2D,
     TermIndex2D,
+    _has_close_pair,
     cvb_approximate_2d,
     eval_grid_2d,
     eval_model_2d,
@@ -80,14 +81,6 @@ class CalibrationModel:
     meta: CalibrationMeta
 
 
-def _distinct_pairs(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    pairs = set()
-    for pa, pb in zip(a.tolist(), b.tolist()):
-        if (pa, pb) in pairs:
-            raise ValueError(f"duplicate {what} pair ({pa}, {pb})")
-        pairs.add((pa, pb))
-
-
 def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = None) -> CalibrationModel:
     """Fit the four calibration surfaces from point correspondences.
 
@@ -103,13 +96,13 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
     v = np.array([p.v for p in pairs])
     X = np.array([p.X for p in pairs])
     Y = np.array([p.Y for p in pairs])
-    _distinct_pairs(u, v, "pixel (u, v)")
-    _distinct_pairs(X, Y, "world (X, Y)")
-
     umap, vmap = auto_map(u), auto_map(v)
     xmap, ymap = auto_map(X), auto_map(Y)
     nu, nv = umap.forward(u), vmap.forward(v)
     nx, ny = xmap.forward(X), ymap.forward(Y)
+    for a, b, what in ((nu, nv, "pixel (u, v)"), (nx, ny, "world (X, Y)")):
+        if _has_close_pair(a, b):
+            raise ValueError(f"duplicate {what} pair: two normalized pairs lie within {MIN_NODE_GAP}")
 
     jobs = {
         "fwd_x": (nu, nv, X, umap, vmap, config),

@@ -1,4 +1,4 @@
-"""Basis evaluation, zeros, domain maps, term vectors."""
+"""Basis columns, zeros, domain maps, term vectors."""
 
 import math
 
@@ -11,56 +11,68 @@ from cvb.basis import (
     IDENTITY_MAP,
     SampleSet1D,
     auto_map,
-    cheb_eval,
+    cheb_columns,
     cheb_zeros,
-    term_vector_1d,
-    term_vector_2d,
 )
-from cvb.fit2d import SampleSet2D
+from cvb.fit2d import SampleSet2D, TermIndex2D, term_matrix
 
 THREE_NODES = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[0.0, 1.0, 4.0])
 
 
+def cheb_eval(j, x):
+    """Oracle: first-kind Chebyshev value T_j(x) by the three-term recurrence."""
+    t_prev, t_cur = 1.0, float(x)
+    if j == 0:
+        return t_prev
+    for _ in range(j - 1):
+        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
+    return t_cur
+
+
+def column(j, x):
+    """T_j at the points x, taken from ``cheb_columns``."""
+    return cheb_columns(x, j + 1)[..., j]
+
+
 class TestChebEval:
     def test_order_zero_is_one(self):
-        assert cheb_eval(0, 0.37) == 1.0
+        assert column(0, [0.37]).tolist() == [1.0]
 
     def test_order_one_is_identity(self):
-        assert cheb_eval(1, -0.5) == -0.5
+        assert column(1, [-0.5]).tolist() == [-0.5]
 
     def test_order_two(self):
-        assert cheb_eval(2, 0.0) == -1.0
-        assert cheb_eval(2, 1.0) == 1.0
+        assert column(2, [0.0, 1.0]).tolist() == [-1.0, 1.0]
 
     def test_clamps_marginal_overshoot(self):
-        assert cheb_eval(3, 1.0 + 5e-13) == cheb_eval(3, 1.0)
-        assert cheb_eval(3, -1.0 - 5e-13) == cheb_eval(3, -1.0)
+        s = SampleSet1D(x=[1.0 + 5e-13, -1.0 - 5e-13], y=[0.0, 0.0])
+        assert s.x.tolist() == [1.0, -1.0]
+        assert column(3, s.x).tolist() == [1.0, -1.0]
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
-            cheb_eval(2, 1.0 + 1e-9)
+            SampleSet1D(x=[1.0 + 1e-9], y=[0.0])
         with pytest.raises(ValueError):
-            cheb_eval(2, -1.001)
+            SampleSet1D(x=[-1.001], y=[0.0])
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            cheb_eval(-1, 0.0)
+            cheb_columns([0.0], 0)
 
     @pytest.mark.parametrize("j", range(2, 31))
     def test_matches_cosine_closed_form_on_grid(self, j):
         # independent oracle: T_j(x) = cos(j arccos x)
         x = np.linspace(-1.0, 1.0, 2001)
         expected = np.cos(j * np.arccos(x))
-        got = np.array([cheb_eval(j, xi) for xi in x])
-        assert np.abs(got - expected).max() <= 1e-9
+        assert np.abs(column(j, x) - expected).max() <= 1e-9
 
     @given(st.integers(2, 40), st.floats(-1.0, 1.0))
     def test_matches_cosine_closed_form_random(self, j, x):
-        assert cheb_eval(j, x) == pytest.approx(math.cos(j * math.acos(x)), abs=1e-9)
+        assert column(j, [x])[0] == pytest.approx(math.cos(j * math.acos(x)), abs=1e-9)
 
     @given(st.integers(0, 40), st.floats(-1.0, 1.0))
     def test_bounded_by_one(self, j, x):
-        assert abs(cheb_eval(j, x)) <= 1.0 + 1e-9
+        assert abs(column(j, [x])[0]) <= 1.0 + 1e-9
 
 
 class TestChebZeros:
@@ -161,33 +173,30 @@ class TestSampleSets:
 
     def test_points_preserve_input_order(self):
         s = SampleSet1D(x=[0.5, -0.5, 0.0], y=[1.0, 2.0, 3.0])
-        assert s.points == [(0.5, 1.0), (-0.5, 2.0), (0.0, 3.0)]
+        assert (s.x.tolist(), s.y.tolist()) == ([0.5, -0.5, 0.0], [1.0, 2.0, 3.0])
         s2 = SampleSet2D(x=[0.1, -0.1], y=[0.2, 0.3], z=[4.0, 5.0])
-        assert s2.points == [(0.1, 0.2, 4.0), (-0.1, 0.3, 5.0)]
+        assert (s2.x.tolist(), s2.y.tolist(), s2.z.tolist()) == ([0.1, -0.1], [0.2, 0.3], [4.0, 5.0])
 
 
 class TestTermVectors:
     def test_three_node_columns(self):
-        assert term_vector_1d(0, THREE_NODES).components.tolist() == [1.0, 1.0, 1.0]
-        assert term_vector_1d(1, THREE_NODES).components.tolist() == [-1.0, 0.0, 1.0]
-        assert term_vector_1d(2, THREE_NODES).components.tolist() == [1.0, -1.0, 1.0]
+        tau = cheb_columns(THREE_NODES.x, 3).T
+        assert tau.tolist() == [[1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 1.0]]
 
     def test_matches_cheb_eval_exactly(self):
         rng = np.random.default_rng(11)
         x = np.sort(rng.uniform(-1, 1, 7))
-        samples = SampleSet1D(x=x, y=np.zeros(7))
+        tau = cheb_columns(x, 6).T
         for j in range(6):
-            tv = term_vector_1d(j, samples)
-            assert tv.components.tolist() == [cheb_eval(j, xi) for xi in x]
+            assert tau[j].tolist() == [cheb_eval(j, xi) for xi in x]
 
     def test_2d_constant_term(self):
         s = SampleSet2D(x=[0.1, -0.4], y=[0.9, 0.3], z=[0.0, 0.0])
-        assert term_vector_2d(0, 0, s).components.tolist() == [1.0, 1.0]
+        assert term_matrix(s, [TermIndex2D(0, 0)]).tolist() == [[1.0, 1.0]]
 
     def test_2d_linear_terms(self):
         s = SampleSet2D(x=[0.5], y=[-0.5], z=[0.0])
-        assert term_vector_2d(1, 0, s).components.tolist() == [0.5]
-        assert term_vector_2d(1, 1, s).components.tolist() == [-0.25]
+        assert term_matrix(s, [TermIndex2D(1, 0), TermIndex2D(1, 1)]).tolist() == [[0.5], [-0.25]]
 
     def test_component_count_matches_samples(self):
-        assert term_vector_1d(4, THREE_NODES).m == THREE_NODES.m
+        assert cheb_columns(THREE_NODES.x, 5).shape == (THREE_NODES.m, 5)

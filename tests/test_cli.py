@@ -478,3 +478,38 @@ class TestNonFiniteCsvFields:
             code, _, stderr = run(capsys, cmd, "--input", str(data))
             assert code == EXIT_VALIDATION
             assert stderr.startswith(f"error: {data}:3: non-finite field")
+
+
+@pytest.fixture
+def overflowing_model(tmp_path):
+    """Every sub-fit is 1e300 T_7(x) on [0, 10]; at x = 1000 that exceeds the float range."""
+    from cvb.basis import DomainMap
+    from cvb.fit2d import ChebModel2D, TermIndex2D
+    from cvb.rectify import CalibrationMeta, CalibrationModel, save_model
+
+    sub = ChebModel2D(coeffs={TermIndex2D(7, 0): 1e300}, xmap=DomainMap(0.0, 10.0), ymap=DomainMap(0.0, 10.0),
+                      degree_bound=8)
+    model = CalibrationModel(sub, sub, sub, sub, CalibrationMeta(epsilon=0.5, degree_bound=8))
+    path = tmp_path / "overflow.json"
+    path.write_text(save_model(model))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning", "ignore::RuntimeWarning")
+class TestNonFiniteOutput:
+    def test_apply(self, overflowing_model, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,v\n1000,5\n")
+        out = tmp_path / "mapped.csv"
+        code, stdout, stderr = run(capsys, "apply", "--model", str(overflowing_model), "--points", str(pts),
+                                   "--out", str(out))
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith("error: cannot serialize non-finite value")
+        assert not out.exists()
+
+    def test_eval(self, overflowing_model, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("u,v,X,Y\n1000,5,0,0\n")
+        code, stdout, stderr = run(capsys, "eval", "--model", str(overflowing_model), "--truth", str(truth))
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith("error: cannot serialize non-finite value")

@@ -12,12 +12,10 @@ from cvb.fit1d import (
     cvb_approximate,
     cvb_interpolate,
     eval_model_1d,
-    residual,
 )
 from cvb.synthetic import runge
 
 QUAD = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[0.0, 1.0, 4.0])
-QUAD_TERMS = [np.array([1.0, 1.0, 1.0]), np.array([-1.0, 0.0, 1.0]), np.array([1.0, -1.0, 1.0])]
 
 
 def oracle_approximate(xs, ys, n, epsilon=0.0):
@@ -57,26 +55,6 @@ def random_samples(seed, max_m=10):
     while np.diff(x).min() < 1e-3:
         x = np.sort(rng.uniform(-1, 1, m))
     return SampleSet1D(x=x, y=rng.uniform(-10, 10, m))
-
-
-class TestResidual:
-    def test_zero_coeffs_give_targets(self):
-        d = residual([0.0, 1.0, 4.0], QUAD_TERMS, [0.0, 0.0, 0.0])
-        assert d.tolist() == [0.0, 1.0, 4.0]
-
-    def test_exact_fit_gives_zero(self):
-        d = residual([0.0, 1.0, 4.0], QUAD_TERMS, [1.5, 2.0, 0.5])
-        assert np.abs(d).max() == 0.0
-
-    def test_constant_term_only(self):
-        d = residual([0.0, 1.0, 4.0], QUAD_TERMS, [5 / 3, 0.0, 0.0])
-        assert d == pytest.approx([-5 / 3, -2 / 3, 7 / 3])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            residual([0.0, 1.0], QUAD_TERMS, [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            residual([0.0, 1.0, 4.0], QUAD_TERMS, [1.0])
 
 
 class TestInterpolateTrace:
@@ -190,6 +168,15 @@ class TestExactness:
         fitted = cheb_columns(samples.x, samples.m) @ model.coeffs
         assert np.abs(fitted - samples.y).max() <= 1e-8
         assert len(report.trace) == samples.m
+
+    def test_interpolation_hits_crowded_nodes(self):
+        # 12 nodes on half the interval: one Gram-Schmidt pass misses by ~1e-7
+        x = np.linspace(-1.0, 0.0, 12)
+        samples = SampleSet1D(x=x, y=np.sin(5 * x))
+        model, report = cvb_interpolate(samples, FitConfig(epsilon=0.0, max_terms=12))
+        fitted = cheb_columns(x, 12) @ model.coeffs
+        assert np.abs(fitted - samples.y).max() <= 1e-12
+        assert report.trace[-1].max_abs_residual <= 1e-12
 
     @pytest.mark.parametrize("m", [4, 6, 9])
     def test_chebyshev_nodes_make_both_fits_agree(self, m):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial import chebyshev as C
 
 from cvb.basis import MIN_NODE_GAP, DomainMap, ExtrapolationWarning, cheb_zeros
 from cvb.fit1d import FitConfig
@@ -323,6 +324,51 @@ class TestEvalModel2D:
         y = np.array([0.5, -0.5])
         assert eval_model_2d(model, x, y) == pytest.approx([1.0, -0.5])
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [None, (), (17,), (5, 4)])
+    def test_matches_chebval2d(self, seed, shape):
+        # independent oracle: numpy's Clenshaw evaluation of the dense triangle,
+        # at points reaching 20% beyond the fitted interval on both axes
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        coeffs = {t: rng.uniform(-5, 5) for t in visit_order(n)}
+        model = ChebModel2D(coeffs=coeffs, xmap=DomainMap(-40.0, 25.0), ymap=DomainMap(3.0, 9.0), degree_bound=n)
+        tx, ty = rng.uniform(-1.2, 1.2, size=(2,) + (shape or ()))
+        x, y = model.xmap.backward(tx), model.ymap.backward(ty)
+        if shape is None:
+            x, y = float(x), float(y)
+        elif shape == ():
+            x, y = np.array(x), np.array(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            got = eval_model_2d(model, x, y)
+        expect = C.chebval2d(model.xmap.forward(np.asarray(x)), model.ymap.forward(np.asarray(y)), model.dense())
+        if shape in (None, ()):
+            assert type(got) is float
+        else:
+            assert got.shape == shape
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
+
+    def test_extrapolation_warns_per_axis(self):
+        model = ChebModel2D(coeffs={T(1, 1): 1.0}, xmap=DomainMap(0.0, 10.0), ymap=DomainMap(0.0, 5.0), degree_bound=3)
+        with pytest.warns(ExtrapolationWarning, match="fitted x interval"):
+            eval_model_2d(model, 11.0, 2.0)
+        with pytest.warns(ExtrapolationWarning, match="fitted y interval"):
+            eval_model_2d(model, 1.0, -1.0)
+
+    @pytest.mark.parametrize("evaluate", [eval_model_2d, eval_grid_2d])
+    def test_extrapolation_warning_names_the_caller(self, evaluate):
+        model = ChebModel2D(coeffs={T(1, 1): 1.0}, degree_bound=3)
+        with pytest.warns(ExtrapolationWarning) as record:
+            evaluate(model, np.array([2.0]), np.array([0.0]))
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize("x, y", [(np.zeros(3), np.zeros(4)), (0.5, np.zeros(2)), (np.zeros((2, 3)), np.zeros(6))])
+    def test_mismatched_shapes_rejected(self, x, y):
+        model = ChebModel2D(coeffs={T(1, 1): 1.0}, degree_bound=3)
+        with pytest.raises(ValueError):
+            eval_model_2d(model, x, y)
+
 
 class TestEvalGrid2D:
     @pytest.fixture
@@ -337,7 +383,10 @@ class TestEvalGrid2D:
         xx, yy = np.meshgrid(x, y)
         grid = eval_grid_2d(model, x, y)
         assert grid.shape == (7, 13)
-        assert np.allclose(grid, eval_model_2d(model, xx, yy), rtol=0, atol=1e-12)
+        # the oracle is numpy's Clenshaw pass, not eval_model_2d: both of
+        # cvb's evaluators build the same Chebyshev columns
+        expect = C.chebval2d(model.xmap.forward(xx), model.ymap.forward(yy), model.dense())
+        assert np.allclose(grid, expect, rtol=0, atol=1e-12)
 
     def test_warns_per_axis_like_point_evaluation(self, model):
         inside_x, inside_y = np.array([0.0, 70.0]), np.array([10.0, 20.0])

@@ -1,4 +1,4 @@
-"""Orthogonalization and the p/q coefficient triangles."""
+"""Orthogonalization and the q coefficient triangle."""
 
 import numpy as np
 import pytest
@@ -30,8 +30,8 @@ def random_terms(seed, m=None, n=None):
     """Term vectors over jittered-equispaced nodes.
 
     The equispaced skeleton keeps the term-vector set well conditioned;
-    heavily clustered nodes make it nearly dependent, where plain
-    Gram-Schmidt (no re-orthogonalization) legitimately degrades.
+    heavily clustered nodes make it nearly dependent, which the crowded-node
+    cases below cover.
     """
     rng = np.random.default_rng(seed)
     m = m if m is not None else int(rng.integers(2, 13))
@@ -49,13 +49,14 @@ class TestQuadraticExample:
     def test_second_component(self):
         oset = orthogonalize(QUAD_TERMS)
         assert oset.ortho[1] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-15)
-        assert oset.p[1, 0] == pytest.approx(0.0, abs=1e-15)
+        assert oset.q[1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_third_component_and_triangles(self):
         oset = orthogonalize(QUAD_TERMS)
         assert oset.ortho[2] == pytest.approx([2 / 3, -4 / 3, 2 / 3], abs=1e-12)
-        assert oset.p[2, 0] == pytest.approx(1 / 3, abs=1e-12)
+        # tau_2 projects on o_0 with coefficient 1/3 and not at all on o_1
         assert oset.q[2, 0] == pytest.approx(-1 / 3, abs=1e-12)
+        assert oset.q[2, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_brute_force(self):
         oset = orthogonalize(QUAD_TERMS)
@@ -111,8 +112,19 @@ class TestInvariants:
         # term vectors over the zeros of T_m are already pairwise orthogonal
         tau = cheb_columns(cheb_zeros(m), m).T
         oset = orthogonalize(tau)
-        off_diag = oset.p[np.tril_indices(m, k=-1)]
+        off_diag = oset.q[np.tril_indices(m, k=-1)]
         assert np.abs(off_diag).max() <= 1e-9
+
+    @pytest.mark.parametrize("m, n", [(12, 12), (120, 60), (1000, 60)])
+    def test_chebyshev_zero_nodes_take_one_pass(self, m, n):
+        # no row cancels half its norm here, so no second pass may run: the
+        # output equals the one-pass transcription bit for bit
+        tau = cheb_columns(cheb_zeros(m), n).T
+        oset = orthogonalize(tau)
+        ortho, q = one_pass_gram_schmidt(tau)
+        assert not oset.skipped
+        assert np.array_equal(oset.ortho, ortho)
+        assert np.array_equal(oset.q, q)
 
 
 class TestDegenerateInput:
@@ -135,29 +147,52 @@ class TestDegenerateInput:
         # the dependent direction must not disturb later components
         assert oset.ortho[2] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-15)
 
+    def test_not_a_2d_array_rejected(self):
+        with pytest.raises(ValueError):
+            orthogonalize(np.array([1.0, 2.0, 3.0]))
+
     def test_reorthogonalize_pass_tightens(self):
-        tau = random_terms(5, m=12, n=12)
-        plain = orthogonalize(tau)
-        tight = orthogonalize(tau, reorthogonalize=True)
-
-        def worst(oset):
-            kept = oset.retained()
-            return max(
-                abs(oset.ortho[a] @ oset.ortho[b])
-                / (np.linalg.norm(oset.ortho[a]) * np.linalg.norm(oset.ortho[b]))
-                for a in kept
-                for b in kept
-                if a != b
-            )
-
-        assert worst(tight) <= worst(plain)
+        # rows 8-11 of these terms cancel more than half their norm; one pass
+        # leaves max |cos| = 6e-15, the second pass brings it to rounding
+        oset = orthogonalize(random_terms(5, m=12, n=12))
+        assert max_cosine(oset) <= 1e-15
 
 
-def per_k_loop_gram_schmidt(tau, reorthogonalize=False, degenerate_rel=1e-12):
+def max_cosine(oset):
+    """Largest |cos| between two retained orthogonal components."""
+    kept = oset.retained()
+    o = oset.ortho[kept] / np.linalg.norm(oset.ortho[kept], axis=1)[:, None]
+    return np.abs(o @ o.T - np.eye(len(kept))).max()
+
+
+def one_pass_gram_schmidt(tau, degenerate_rel=1e-12):
+    """Block classical Gram-Schmidt with a single projection per row.
+
+    The same products as ``orthogonalize`` in the same order, so wherever
+    its second pass does not run the two agree bit for bit.
+    """
+    n = tau.shape[0]
+    ortho, p, q, norm2 = np.zeros_like(tau), np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+    skipped = set()
+    for j in range(n):
+        live = [k for k in range(j) if k not in skipped]
+        p[j, live] = (ortho[live] @ tau[j]) / norm2[live]
+        ortho[j] = tau[j] - p[j, live] @ ortho[live]
+        norm2[j] = ortho[j] @ ortho[j]
+        if norm2[j] <= degenerate_rel * (tau[j] @ tau[j]):
+            skipped.add(j)
+        q[j, :j] = -p[j, :j] @ q[:j, :j]
+        q[j, j] = 1.0
+    return ortho, q
+
+
+def per_k_loop_gram_schmidt(tau, always_reproject=False, degenerate_rel=1e-12):
     """Literal per-k transcription: one projection, one subtraction at a time.
 
-    p[j, k] projects tau_j on each retained o_k, the optional second pass
-    projects the running remainder, and q is back-substituted term by term.
+    p[j, k] projects tau_j on each retained o_k.  A second pass projects the
+    running remainder when the first left less than half of ||tau_j||^2, or
+    on every row with ``always_reproject`` (the two-pass reference).  q is
+    back-substituted term by term.
     """
     n = tau.shape[0]
     ortho, p, q, norm2 = np.zeros_like(tau), np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
@@ -169,7 +204,7 @@ def per_k_loop_gram_schmidt(tau, reorthogonalize=False, degenerate_rel=1e-12):
                 continue
             p[j, k] = (tau[j] @ ortho[k]) / norm2[k]
             w -= p[j, k] * ortho[k]
-        if reorthogonalize:
+        if always_reproject or w @ w < 0.5 * (tau[j] @ tau[j]):
             for k in range(j):
                 if k in skipped:
                     continue
@@ -183,7 +218,7 @@ def per_k_loop_gram_schmidt(tau, reorthogonalize=False, degenerate_rel=1e-12):
         q[j, j] = 1.0
         for k in range(j - 1, -1, -1):
             q[j, k] = -sum(p[j, i] * q[i, k] for i in range(k, j))
-    return ortho, p, q, frozenset(skipped)
+    return ortho, q, frozenset(skipped)
 
 
 def dependent_terms(seed):
@@ -199,41 +234,49 @@ def dependent_terms(seed):
 
 
 class TestMatchesPerKLoop:
-    @pytest.mark.parametrize("reorth", [False, True])
+    # always_reproject=False holds orthogonalize to its own rule; True to the
+    # two-pass reference, which the rule must match where it skips the pass
+    @pytest.mark.parametrize("always_reproject", [False, True])
     @pytest.mark.parametrize("seed", range(12))
-    def test_well_conditioned(self, seed, reorth):
+    def test_well_conditioned(self, seed, always_reproject):
         tau = random_terms(seed)
-        oset = orthogonalize(tau, reorthogonalize=reorth)
-        ortho, p, q, skipped = per_k_loop_gram_schmidt(tau, reorth)
+        oset = orthogonalize(tau)
+        ortho, q, skipped = per_k_loop_gram_schmidt(tau, always_reproject)
         assert oset.skipped == skipped
         assert np.allclose(oset.ortho, ortho, rtol=0, atol=1e-12)
-        assert np.allclose(oset.p, p, rtol=0, atol=1e-11)
         assert np.allclose(oset.q, q, rtol=0, atol=1e-10 * max(1.0, np.abs(q).max()))
 
-    @pytest.mark.parametrize("reorth", [False, True])
+    @pytest.mark.parametrize("always_reproject", [False, True])
     @pytest.mark.parametrize("seed", range(12))
-    def test_with_skipped_terms(self, seed, reorth):
+    def test_with_skipped_terms(self, seed, always_reproject):
         tau = dependent_terms(seed)
-        oset = orthogonalize(tau, reorthogonalize=reorth)
-        ortho, p, q, skipped = per_k_loop_gram_schmidt(tau, reorth)
+        oset = orthogonalize(tau)
+        ortho, q, skipped = per_k_loop_gram_schmidt(tau, always_reproject)
         assert len(skipped) == 3
         assert oset.skipped == skipped
         kept = oset.retained()
         assert np.allclose(oset.ortho[kept], ortho[kept], rtol=0, atol=1e-12)
-        assert np.allclose(oset.p, p, rtol=0, atol=1e-11)
         assert np.allclose(oset.q, q, rtol=0, atol=1e-10 * max(1.0, np.abs(q).max()))
-        # a skipped term contributes nothing to any later row of p
-        assert not oset.p[:, sorted(skipped)].any()
+        # a skipped term contributes nothing to any later row of q
+        assert not np.tril(oset.q, -1)[:, sorted(skipped)].any()
 
     @pytest.mark.parametrize("width, n, n_skipped", [(1.0, 10, 0), (0.6, 8, 0), (0.2, 12, 3)])
     def test_reorthogonalize_on_ill_conditioned_terms(self, width, n, n_skipped):
-        # nodes crowded into part of the interval: the plain pass loses
-        # orthogonality, so the second pass makes a first-order correction
+        # nodes crowded into part of the interval: one pass loses
+        # orthogonality, so the rule sends these rows through the second pass
         tau = cheb_columns(np.linspace(-1.0, -1.0 + width, 12), n).T
-        oset = orthogonalize(tau, reorthogonalize=True)
-        ortho, _, _, skipped = per_k_loop_gram_schmidt(tau, reorthogonalize=True)
+        oset = orthogonalize(tau)
+        ortho, _, skipped = per_k_loop_gram_schmidt(tau)
         assert oset.skipped == skipped and len(skipped) == n_skipped
         kept = oset.retained()
         assert np.allclose(oset.ortho[kept], ortho[kept], rtol=0, atol=1e-10)
-        o = oset.ortho[kept] / np.linalg.norm(oset.ortho[kept], axis=1)[:, None]
-        assert np.abs(o @ o.T - np.eye(len(kept))).max() <= 1e-14
+        assert max_cosine(oset) <= 1e-14
+
+    @pytest.mark.parametrize("n", [10, 14, 16, 20])
+    def test_crowded_square_node_sets_stay_orthogonal(self, n):
+        # n nodes on [-1, -0.4], n terms: one pass leaves max |cos| near 1
+        tau = cheb_columns(np.linspace(-1.0, -0.4, n), n).T
+        oset = orthogonalize(tau)
+        _, _, skipped = per_k_loop_gram_schmidt(tau)
+        assert oset.skipped == skipped
+        assert max_cosine(oset) <= 1e-14

@@ -92,6 +92,15 @@ class TestCalibrateBasics:
         with pytest.raises(ValueError, match="world"):
             calibrate(pairs, FitConfig(max_terms=2))
 
+    @pytest.mark.parametrize("what, offset", [("pixel", (1e-11, 0, 5, 7)), ("world", (5, 7, 0, 1e-11))])
+    def test_near_duplicate_pair_named_after_its_side(self, what, offset):
+        # 1e-11 apart in raw units is closer than MIN_NODE_GAP once normalized
+        base = [(100.0, 200.0, -30.0, 40.0), (300.0, 50.0, 20.0, -10.0), (500.0, 400.0, 60.0, 35.0)]
+        near = tuple(b + d for b, d in zip(base[0], offset))
+        pairs = [Correspondence(*p) for p in base + [near]]
+        with pytest.raises(ValueError, match=f"duplicate {what}"):
+            calibrate(pairs, FitConfig(max_terms=2))
+
     def test_correspondence_requires_finite_fields(self):
         with pytest.raises(ValueError):
             Correspondence(0.0, 0.0, float("inf"), 0.0)
