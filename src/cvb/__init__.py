@@ -42,7 +42,6 @@ from .rectify import (
     Correspondence,
     ModelParseError,
     ModelVersionError,
-    SubfitStats,
     WarpSpec,
     calibrate,
     load_model,

@@ -1,4 +1,4 @@
-"""Chebyshev basis columns, root placement, domain normalization, 1-D sample sets."""
+"""Chebyshev basis columns, root placement, domain normalization, sample validation."""
 
 from __future__ import annotations
 
@@ -79,6 +79,59 @@ def _clip_unit(x: np.ndarray, what: str) -> np.ndarray:
     return np.clip(x, -1.0, 1.0)
 
 
+def _has_close_pair(x, y) -> bool:
+    """Whether two points satisfy dx^2 + dy^2 <= MIN_NODE_GAP^2, in O(m) memory.
+
+    The one distinct-point rule: curves pass y = 0.  Points are sorted by x,
+    then y.  Each point i is paired with a candidate j after it, and a pair is
+    only compared while dx^2 <= MIN_NODE_GAP^2; past that, every later j has a
+    larger dx, so i drops out.  Within a run of equal x only the next point can
+    be the closest (y is sorted), so the candidate then jumps to the first
+    point of the next x.
+    """
+    gap2 = MIN_NODE_GAP**2
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    run_end = np.searchsorted(xs, xs, side="right")
+    i = np.arange(xs.size - 1)
+    j = i + 1
+    while i.size:
+        dx = xs[j] - xs[i]
+        dy = ys[j] - ys[i]
+        near = dx * dx <= gap2
+        if np.any(dx[near] ** 2 + dy[near] ** 2 <= gap2):
+            return True
+        j = np.where(dx == 0.0, run_end[i], j + 1)
+        keep = near & (j < xs.size)
+        i, j = i[keep], j[keep]
+    return False
+
+
+def _validate_samples(sample_set, coords: tuple, value: str, what: str) -> None:
+    """Check and store the fields of a frozen sample set, in place.
+
+    The fields named in ``coords`` and ``value`` become read-only float
+    copies of one 1-D shape, non-empty and finite (the caller's arrays stay
+    writable); the coordinates are clamped to [-1, 1] and must be distinct
+    points under ``_has_close_pair``.
+    """
+    names = (*coords, value)
+    arrays = [np.atleast_1d(np.array(getattr(sample_set, name), dtype=float)) for name in names]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError(f"{', '.join(names)} must be 1-D arrays of equal length")
+    if arrays[0].size < 1:
+        raise ValueError("at least one sample point is required")
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("sample values must be finite")
+    arrays[: len(coords)] = [_clip_unit(a, f"sample {name}") for a, name in zip(arrays, coords)]
+    y = arrays[1] if len(coords) > 1 else np.zeros_like(arrays[0])
+    if _has_close_pair(arrays[0], y):
+        raise ValueError(f"sample {what} must be distinct (min gap {MIN_NODE_GAP})")
+    for name, a in zip(names, arrays):
+        a.flags.writeable = False
+        object.__setattr__(sample_set, name, a)
+
+
 @dataclass(frozen=True)
 class SampleSet1D:
     """Ordered sample points (x_i, y_i) with distinct abscissae in [-1, 1]."""
@@ -87,21 +140,7 @@ class SampleSet1D:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if x.ndim != 1 or x.shape != y.shape:
-            raise ValueError("x and y must be 1-D arrays of equal length")
-        if x.size < 1:
-            raise ValueError("at least one sample point is required")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("sample values must be finite")
-        x = _clip_unit(x, "sample x")
-        if x.size > 1 and np.diff(np.sort(x)).min() <= MIN_NODE_GAP:
-            raise ValueError(f"sample abscissae must be distinct (min gap {MIN_NODE_GAP})")
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _validate_samples(self, ("x",), "y", "abscissae")
 
     @property
     def m(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import SampleSet1D, auto_map
 from .fit1d import FitConfig, FitError, cvb_approximate, cvb_interpolate, eval_model_1d
-from .fit2d import SampleSet2D, cvb_approximate_2d, visit_order
+from .fit2d import SampleSet2D, cvb_approximate_2d
 from .ppm import read_image, write_image
 from .rectify import (
     Correspondence,
@@ -98,8 +98,6 @@ def cmd_gen(args) -> int:
     if args.kind not in GEN_KINDS:
         raise ValueError(f"unknown dataset kind {args.kind!r} (choose from {', '.join(GEN_KINDS)})")
     if args.kind == "correspondences":
-        if args.preset != "default":
-            raise ValueError(f"unknown preset {args.preset!r}")
         pairs = gen_correspondences(DistortionParams())
         rows = [(p.u, p.v, p.X, p.Y) for p in pairs]
         _write_csv(args.out, ("u", "v", "X", "Y"), rows)
@@ -160,12 +158,10 @@ def cmd_fit2d(args) -> int:
     model, report = cvb_approximate_2d(samples, config, xmap=xmap, ymap=ymap)
     if args.trace:
         _write_trace(args.trace, report)
-    position = {t: p for p, t in enumerate(visit_order(model.degree_bound))}
-    for term, coeff in sorted(model.coeffs.items(), key=lambda kv: position[kv[0]]):
+    for term, coeff in model.coeffs.items():
         print(f"[{term.i}, {term.j}, {_fmt(coeff)}]")
-    final = report.trace[-1].max_abs_residual if report.trace else float(np.abs(samples.z).max())
-    print(f"terms={report.terms_used} max_abs_residual={_fmt(final)} converged={str(report.converged).lower()}",
-          file=sys.stderr)
+    print(f"terms={report.terms_used} max_abs_residual={_fmt(report.max_abs_residual)} "
+          f"converged={str(report.converged).lower()}", file=sys.stderr)
     if not report.converged and args.strict:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -239,13 +235,12 @@ def cmd_warp(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model_file(args.model)
-    pairs = _read_pairs(args.truth)
-    u, v, X, Y = np.array([(p.u, p.v, p.X, p.Y) for p in pairs]).T
+    u, v, X, Y = _read_csv(args.truth, ("u", "v", "X", "Y")).T
     Xm, Ym = map_point(model, u, v)
     errors = (Xm - X) ** 2 + (Ym - Y) ** 2
     print(f"max_err_mm={_fmt(np.sqrt(errors.max()))}")
     print(f"rms_err_mm={_fmt(np.sqrt(errors.mean()))}")
-    print(f"n_points={len(pairs)}")
+    print(f"n_points={len(u)}")
     return EXIT_OK
 
 
@@ -267,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", help=f"one of: {', '.join(GEN_KINDS)}")
     p.add_argument("--m", type=int, default=9, help="point count (runge)")
     p.add_argument("--seed", type=int, default=0, help="generator seed (noisy-line)")
-    p.add_argument("--preset", default="default", help="pattern preset (correspondences)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_gen)
 

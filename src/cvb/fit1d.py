@@ -9,7 +9,7 @@ reverse-order revisits after every new term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,10 +71,30 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class FitReport:
+    """What a fit did: its trace, terms, stop state and final residuals.
+
+    The residuals are those of the last trace step, or of the data itself
+    when no step was taken.
+    """
+
     trace: tuple
     terms_used: int
     converged: bool
-    skipped: tuple = field(default_factory=tuple)
+    skipped: tuple
+    max_abs_residual: float
+    l2_residual: float
+
+
+def _report(trace, a, converged, skipped, gamma) -> FitReport:
+    """The one FitReport builder: final residuals fall back to the data's own."""
+    return FitReport(
+        trace=tuple(trace),
+        terms_used=int(np.count_nonzero(a)),
+        converged=converged,
+        skipped=tuple(skipped),
+        max_abs_residual=trace[-1].max_abs_residual if trace else float(np.abs(gamma).max()),
+        l2_residual=trace[-1].l2_residual if trace else float(np.linalg.norm(gamma)),
+    )
 
 
 @dataclass(frozen=True)
@@ -155,14 +175,8 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
         o_j = oset.ortho[j]
         max_abs = fit.step(o_j, o_j @ o_j, slice(0, j + 1), oset.q[j, : j + 1], j, "visit")
 
-    a = fit.a
-    report = FitReport(
-        trace=tuple(fit.trace),
-        terms_used=int(np.count_nonzero(a)),
-        converged=max_abs <= config.epsilon,
-        skipped=tuple(sorted(oset.skipped)),
-    )
-    return ChebModel1D(coeffs=a, xmap=xmap), report
+    report = _report(fit.trace, fit.a, max_abs <= config.epsilon, sorted(oset.skipped), samples.y)
+    return ChebModel1D(coeffs=fit.a, xmap=xmap), report
 
 
 def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=None):
@@ -196,6 +210,24 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
     return fit.a, fit.trace, max_abs <= config.epsilon
 
 
+def _shape_first(tau, gamma, config, revisit, labels=None):
+    """The shape-first driver behind both approximation fitters.
+
+    Rows of ``tau`` are visited in order.  Rows whose squared norm is at most
+    ``DEGENERATE_TERM_REL`` times the sample count are skipped and dropped
+    from the revisit lists; ``revisit(t)`` gives the rows revisited after
+    visiting t, in reverse preference order.  Returns the coefficients by row
+    and the FitReport, whose skipped terms carry ``labels`` when given.
+    """
+    norm2 = np.einsum("ij,ij->i", tau, tau)
+    skipped = frozenset(int(t) for t in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * gamma.size))
+    schedule = list(range(tau.shape[0]))
+    revisits = {t: [k for k in revisit(t) if k not in skipped] for t in schedule}
+    a, trace, converged = projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels)
+    named = [t if labels is None else labels[t] for t in sorted(skipped)]
+    return a, _report(trace, a, converged, named, gamma)
+
+
 def cvb_approximate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = IDENTITY_MAP):
     """Shape-first fit by projecting the error vector on raw term vectors.
 
@@ -206,20 +238,8 @@ def cvb_approximate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     epsilon or the schedule is exhausted; running out of terms is reported,
     not raised.
     """
-    n = config.max_terms
-    tau = cheb_columns(samples.x, n).T
-    norm2 = np.einsum("ij,ij->i", tau, tau)
-    skipped = frozenset(int(j) for j in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * samples.m))
-
-    schedule = list(range(n))
-    revisits = {j: [k for k in range(j - 1, -1, -1) if k not in skipped] for j in schedule}
-    a, trace, converged = projection_sweeps(tau, samples.y, config, schedule, revisits, skipped)
-    report = FitReport(
-        trace=tuple(trace),
-        terms_used=int(np.count_nonzero(a)),
-        converged=converged,
-        skipped=tuple(sorted(skipped)),
-    )
+    tau = cheb_columns(samples.x, config.max_terms).T
+    a, report = _shape_first(tau, samples.y, config, lambda j: range(j - 1, -1, -1))
     return ChebModel1D(coeffs=a, xmap=xmap), report
 
 

@@ -13,15 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (
-    IDENTITY_MAP,
-    MIN_NODE_GAP,
-    DomainMap,
-    _clip_unit,
-    cheb_columns,
-    warn_if_extrapolating,
-)
-from .fit1d import DEGENERATE_TERM_REL, FitConfig, FitReport, projection_sweeps
+from .basis import IDENTITY_MAP, DomainMap, _validate_samples, cheb_columns, warn_if_extrapolating
+from .fit1d import FitConfig, _shape_first
 
 
 class TermIndex2D(NamedTuple):
@@ -29,33 +22,6 @@ class TermIndex2D(NamedTuple):
 
     i: int
     j: int
-
-
-def _has_close_pair(x, y) -> bool:
-    """Whether two points satisfy dx^2 + dy^2 <= MIN_NODE_GAP^2, in O(m) memory.
-
-    Points are sorted by x, then y.  Each point i is paired with a candidate j
-    after it, and a pair is only compared while dx^2 <= MIN_NODE_GAP^2; past
-    that, every later j has a larger dx, so i drops out.  Within a run of equal
-    x only the next point can be the closest (y is sorted), so the candidate
-    then jumps to the first point of the next x.
-    """
-    gap2 = MIN_NODE_GAP**2
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    run_end = np.searchsorted(xs, xs, side="right")
-    i = np.arange(xs.size - 1)
-    j = i + 1
-    while i.size:
-        dx = xs[j] - xs[i]
-        dy = ys[j] - ys[i]
-        near = dx * dx <= gap2
-        if np.any(dx[near] ** 2 + dy[near] ** 2 <= gap2):
-            return True
-        j = np.where(dx == 0.0, run_end[i], j + 1)
-        keep = near & (j < xs.size)
-        i, j = i[keep], j[keep]
-    return False
 
 
 @dataclass(frozen=True)
@@ -67,33 +33,24 @@ class SampleSet2D:
     z: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        if x.ndim != 1 or x.shape != y.shape or x.shape != z.shape:
-            raise ValueError("x, y, z must be 1-D arrays of equal length")
-        if x.size < 1:
-            raise ValueError("at least one sample point is required")
-        if not all(np.all(np.isfinite(v)) for v in (x, y, z)):
-            raise ValueError("sample values must be finite")
-        x = _clip_unit(x, "sample x")
-        y = _clip_unit(y, "sample y")
-        if _has_close_pair(x, y):
-            raise ValueError(f"sample (x, y) pairs must be distinct (min gap {MIN_NODE_GAP})")
-        for v in (x, y, z):
-            v.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        _validate_samples(self, ("x", "y"), "z", "(x, y) pairs")
 
     @property
     def m(self) -> int:
         return self.x.size
 
 
+def _visit_key(t: TermIndex2D):
+    """Preference key: total degree, then min(i, j), then i."""
+    return (t.i + t.j, min(t.i, t.j), t.i)
+
+
 @dataclass(frozen=True)
 class ChebModel2D:
-    """Triangular tensor series P(x, y) = sum a[i, j] T_i(tx) T_j(ty)."""
+    """Triangular tensor series P(x, y) = sum a[i, j] T_i(tx) T_j(ty).
+
+    ``coeffs`` maps TermIndex2D to float and is kept in visit order.
+    """
 
     coeffs: dict
     xmap: DomainMap = IDENTITY_MAP
@@ -111,7 +68,7 @@ class ChebModel2D:
             if not np.isfinite(value):
                 raise ValueError(f"coefficient for {idx} is not finite")
             clean[idx] = float(value)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", {t: clean[t] for t in sorted(clean, key=_visit_key)})
 
     def dense(self) -> np.ndarray:
         c = np.zeros((self.degree_bound, self.degree_bound))
@@ -129,7 +86,7 @@ def visit_order(n: int) -> list[TermIndex2D]:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     pairs = [TermIndex2D(i, j) for i in range(n) for j in range(n - i)]
-    pairs.sort(key=lambda t: (t.i + t.j, min(t.i, t.j), t.i))
+    pairs.sort(key=_visit_key)
     return pairs
 
 
@@ -170,27 +127,12 @@ def cvb_approximate_2d(
     is exhausted.  Near-zero term vectors are skipped and recorded.
     """
     order = visit_order(config.max_terms)
-    tau = term_matrix(samples, order)
-    norm2 = np.einsum("ij,ij->i", tau, tau)
-    skipped = frozenset(int(t) for t in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * samples.m))
-
-    schedule = list(range(len(order)))
     pos = {t: p for p, t in enumerate(order)}
-    revisits = {
-        p: [pos[t] for t in revisit_set(order[p], order) if pos[t] not in skipped]
-        for p in schedule
-    }
-    a, trace, converged = projection_sweeps(
-        tau, samples.z, config, schedule, revisits, skipped, labels=order
+    a, report = _shape_first(
+        term_matrix(samples, order), samples.z, config,
+        lambda p: [pos[t] for t in revisit_set(order[p], order)], labels=order,
     )
-
-    coeffs = {order[p]: float(a[p]) for p in schedule if a[p] != 0.0}
-    report = FitReport(
-        trace=tuple(trace),
-        terms_used=len(coeffs),
-        converged=converged,
-        skipped=tuple(order[p] for p in sorted(skipped)),
-    )
+    coeffs = {t: float(c) for t, c in zip(order, a) if c != 0.0}
     model = ChebModel2D(coeffs=coeffs, xmap=xmap, ymap=ymap, degree_bound=config.max_terms)
     return model, report
 

@@ -102,8 +102,6 @@ def write_image(path, img, plain: bool = False) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         if plain:
-            flat = img.reshape(height, -1)
-            for row in flat:
-                fh.write(" ".join(str(int(v)) for v in row).encode("ascii") + b"\n")
+            np.savetxt(fh, img.reshape(height, -1), fmt="%d")
         else:
             fh.write(img.tobytes())

@@ -15,18 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import MIN_NODE_GAP, DomainMap, auto_map
+from .basis import MIN_NODE_GAP, DomainMap, _has_close_pair, auto_map
 from .fit1d import FitConfig, FitError
-from .fit2d import (
-    ChebModel2D,
-    SampleSet2D,
-    TermIndex2D,
-    _has_close_pair,
-    cvb_approximate_2d,
-    eval_grid_2d,
-    eval_model_2d,
-    visit_order,
-)
+from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, cvb_approximate_2d, eval_grid_2d, eval_model_2d
 
 SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
@@ -58,26 +49,18 @@ class Correspondence:
 
 
 @dataclass(frozen=True)
-class SubfitStats:
-    terms_used: int
-    converged: bool
-    max_abs_residual: float
-    l2_residual: float
-
-
-@dataclass(frozen=True)
 class CalibrationMeta:
     epsilon: float
     degree_bound: int
-    stats: Optional[dict] = None  # name -> SubfitStats, absent on loaded models
+    stats: Optional[dict] = None  # name -> FitReport, absent on loaded models
 
 
 @dataclass(frozen=True)
 class CalibrationModel:
     fwd_x: ChebModel2D
     fwd_y: ChebModel2D
-    inv_u: Optional[ChebModel2D]
-    inv_v: Optional[ChebModel2D]
+    inv_u: ChebModel2D
+    inv_v: ChebModel2D
     meta: CalibrationMeta
 
 
@@ -117,14 +100,8 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
         model, report = cvb_approximate_2d(samples, cfg, xmap=mx, ymap=my)
         if not model.coeffs and np.abs(sz).max() > 0:
             raise FitError(f"sub-fit {name} is degenerate: no usable terms")
-        last = report.trace[-1] if report.trace else None
         models[name] = model
-        stats[name] = SubfitStats(
-            terms_used=report.terms_used,
-            converged=report.converged,
-            max_abs_residual=last.max_abs_residual if last else float(np.abs(sz).max()),
-            l2_residual=last.l2_residual if last else float(np.linalg.norm(sz)),
-        )
+        stats[name] = report
 
     meta = CalibrationMeta(epsilon=config.epsilon, degree_bound=config.max_terms, stats=stats)
     return CalibrationModel(meta=meta, **models)
@@ -140,8 +117,6 @@ def map_point(model: CalibrationModel, u: float, v: float):
 
 def map_world(model: CalibrationModel, X: float, Y: float):
     """World (X, Y) back to pixel (u, v) through the inverse fits."""
-    if model.inv_u is None or model.inv_v is None:
-        raise ValueError("model has no inverse fits")
     return (
         eval_model_2d(model.inv_u, X, Y),
         eval_model_2d(model.inv_v, X, Y),
@@ -176,8 +151,6 @@ def warp_image(model: CalibrationModel, image: np.ndarray, out_spec: WarpSpec, f
     nearest-neighbor; source positions outside the input raster take the
     fill value (scalar for grayscale, scalar or RGB triple for color).
     """
-    if model.inv_u is None or model.inv_v is None:
-        raise ValueError("warping requires a model with inverse fits")
     image = np.asarray(image)
     x0, x1, y0, y1 = out_spec.window
     wx = x0 + (np.arange(out_spec.width) + 0.5) * (x1 - x0) / out_spec.width
@@ -207,17 +180,13 @@ def _fmt(value: float) -> str:
 def save_model(model: CalibrationModel) -> str:
     """Serialize a calibration to its canonical JSON document.
 
-    Output is byte-stable: fixed key order, terms sorted by visit order,
-    every real rendered with 17 significant digits (which round-trips
-    float64 exactly).
+    Output is byte-stable: fixed key order, terms in visit order (the order
+    ``ChebModel2D`` keeps), every real rendered with 17 significant digits
+    (which round-trips float64 exactly).
     """
-    for name in SUBFIT_NAMES:
-        if getattr(model, name) is None:
-            raise ValueError(f"cannot serialize model without sub-fit {name}")
     n = model.meta.degree_bound
     if any(getattr(model, name).degree_bound != n for name in SUBFIT_NAMES):
         raise ValueError("sub-models disagree on the degree bound")
-    position = {t: p for p, t in enumerate(visit_order(n))}
 
     lines = ["{"]
     lines.append(f'  "version": {MODEL_VERSION},')
@@ -228,10 +197,9 @@ def save_model(model: CalibrationModel) -> str:
         lines.append(f'  "{name}": {{')
         lines.append(f'    "xmap": [{_fmt(sub.xmap.lo)}, {_fmt(sub.xmap.hi)}],')
         lines.append(f'    "ymap": [{_fmt(sub.ymap.lo)}, {_fmt(sub.ymap.hi)}],')
-        terms = sorted(sub.coeffs.items(), key=lambda kv: position[kv[0]])
-        if terms:
+        if sub.coeffs:
             lines.append('    "terms": [')
-            body = [f"      [{t.i}, {t.j}, {_fmt(c)}]" for t, c in terms]
+            body = [f"      [{t.i}, {t.j}, {_fmt(c)}]" for t, c in sub.coeffs.items()]
             lines.append(",\n".join(body))
             lines.append("    ]")
         else:

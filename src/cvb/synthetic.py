@@ -119,20 +119,17 @@ def distort(params: DistortionParams, X, Y):
     return u, v
 
 
-def max_displacement_px(params: DistortionParams, step: float = 1.0) -> float:
+def max_displacement_px(params: DistortionParams) -> float:
     """Maximum pincushion displacement over the frame, in pixels.
 
     Evaluates the analytic radial push |pincushion| * r^3 / R^2 (R the half
-    diagonal, r the distance from the image center) at every point of a pixel
-    grid of the given step.  The push grows with r, so the maximum sits at
-    the frame corners.
+    diagonal, r the distance from the image center).  The push grows with r,
+    so the maximum sits at the frame corner farthest from the center.
     """
     w, h = params.image_size
-    u = np.arange(0.0, w + step / 2, step)
-    v = np.arange(0.0, h + step / 2, step)
-    uu, vv = np.meshgrid(u, v)
-    r = np.hypot(uu - params.center[0], vv - params.center[1])
-    return float(np.max(np.abs(params.pincushion) * r**3 / params.half_diagonal**2))
+    cu, cv = params.center
+    r = np.hypot(max(abs(cu), abs(w - cu)), max(abs(cv), abs(h - cv)))
+    return float(np.abs(params.pincushion) * r**3 / params.half_diagonal**2)
 
 
 def default_pattern(params: DistortionParams):

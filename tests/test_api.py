@@ -20,7 +20,6 @@ PUBLIC_API = [
     "OrthoSet",
     "SampleSet1D",
     "SampleSet2D",
-    "SubfitStats",
     "TermIndex2D",
     "TraceStep",
     "WarpSpec",

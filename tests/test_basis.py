@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cvb.basis import (
+    MIN_NODE_GAP,
     DomainMap,
     IDENTITY_MAP,
     SampleSet1D,
@@ -170,6 +171,28 @@ class TestSampleSets:
     def test_2d_allows_shared_coordinate(self):
         s = SampleSet2D(x=[0.0, 0.0], y=[0.2, 0.5], z=[1.0, 2.0])
         assert s.m == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda d: SampleSet1D(x=[0.0, d], y=[1.0, 2.0]),
+            lambda d: SampleSet2D(x=[0.0, d], y=[0.5, 0.5], z=[1.0, 2.0]),
+            lambda d: SampleSet2D(x=[0.5, 0.5], y=[0.0, d], z=[1.0, 2.0]),
+        ],
+        ids=["1d", "2d-along-x", "2d-along-y"],
+    )
+    def test_one_gap_rule_for_curves_and_surfaces(self, make):
+        with pytest.raises(ValueError, match="distinct"):
+            make(MIN_NODE_GAP)
+        assert make(2 * MIN_NODE_GAP).m == 2
+
+    def test_caller_arrays_stay_writable(self):
+        x, y, z = np.array([-0.5, 0.5]), np.array([0.1, 0.2]), np.array([3.0, 4.0])
+        s1, s2 = SampleSet1D(x=x, y=z), SampleSet2D(x=x, y=y, z=z)
+        for a in (x, y, z):
+            a[0] = 0.25
+        assert s1.y.tolist() == [3.0, 4.0] and s2.z.tolist() == [3.0, 4.0]
+        assert not (s1.x.flags.writeable or s1.y.flags.writeable or s2.z.flags.writeable)
 
     def test_points_preserve_input_order(self):
         s = SampleSet1D(x=[0.5, -0.5, 0.0], y=[1.0, 2.0, 3.0])

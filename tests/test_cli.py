@@ -53,7 +53,7 @@ class TestGen:
 
     def test_correspondences_default_preset(self, tmp_path, capsys):
         out = tmp_path / "pairs.csv"
-        code, stdout, _ = run(capsys, "gen", "correspondences", "--preset", "default", "--out", str(out))
+        code, stdout, _ = run(capsys, "gen", "correspondences", "--out", str(out))
         assert code == EXIT_OK and stdout.strip() == "20"
         lines = out.read_text().splitlines()
         assert lines[0] == "u,v,X,Y"

@@ -287,6 +287,32 @@ class TestEvalModel:
 RUNGE_15 = SampleSet1D(x=np.linspace(-1, 1, 15), y=runge(np.linspace(-1, 1, 15)))
 
 
+class TestFinalResiduals:
+    """FitReport carries the residuals after the last step, or the data's own."""
+
+    @pytest.mark.parametrize("fit", [cvb_interpolate, cvb_approximate])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_equal_the_last_trace_step(self, fit, epsilon):
+        _, report = fit(RUNGE_15, FitConfig(epsilon=epsilon, max_terms=9))
+        last = report.trace[-1]
+        assert report.max_abs_residual == last.max_abs_residual
+        assert report.l2_residual == last.l2_residual
+
+    def test_empty_trace_reports_the_data(self):
+        y = RUNGE_15.y
+        _, report = cvb_approximate(RUNGE_15, FitConfig(epsilon=float(np.abs(y).max()), max_terms=9))
+        assert report.trace == () and report.converged
+        assert report.max_abs_residual == max(abs(v) for v in y)
+        assert report.l2_residual == pytest.approx(math.sqrt(math.fsum(v * v for v in y)), rel=1e-15)
+
+    def test_interpolation_steps_even_when_the_data_meet_epsilon(self):
+        # epsilon only feeds the converged flag, so the trace is never empty
+        y = RUNGE_15.y
+        _, report = cvb_interpolate(RUNGE_15, FitConfig(epsilon=float(np.abs(y).max()), max_terms=9))
+        assert len(report.trace) == 9 and report.converged
+        assert report.max_abs_residual == report.trace[-1].max_abs_residual
+
+
 class TestIncrementalResidual:
     """The engine updates the error vector in place; a full recompute must agree."""
 

@@ -196,6 +196,30 @@ class TestApproximate2D:
         revisited = {t.term for t in report.trace if t.kind == "revisit"}
         assert T(0, 0) in revisited
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_report_residuals_equal_the_last_trace_step(self, epsilon):
+        s = grid_samples(5, lambda x, y: np.exp(x) * np.cos(2 * y))
+        _, report = cvb_approximate_2d(s, FitConfig(epsilon=epsilon, max_terms=4))
+        last = report.trace[-1]
+        assert (report.max_abs_residual, report.l2_residual) == (last.max_abs_residual, last.l2_residual)
+
+    def test_empty_trace_reports_the_data(self):
+        s = grid_samples(5, lambda x, y: np.exp(x) * np.cos(2 * y))
+        _, report = cvb_approximate_2d(s, FitConfig(epsilon=float(np.abs(s.z).max()), max_terms=4))
+        assert report.trace == () and report.converged
+        assert report.max_abs_residual == max(abs(v) for v in s.z)
+        assert report.l2_residual == pytest.approx(np.sqrt(np.sum(s.z**2)), rel=1e-15)
+
+
+class TestCoefficientOrder:
+    def test_model_keeps_coefficients_in_visit_order(self):
+        order = visit_order(5)
+        rng = np.random.default_rng(3)
+        shuffled = [order[k] for k in rng.permutation(len(order))]
+        model = ChebModel2D(coeffs={t: 1.0 + k for k, t in enumerate(shuffled)}, degree_bound=5)
+        assert list(model.coeffs) == order
+        assert model.coeffs == {t: 1.0 + k for k, t in enumerate(shuffled)}
+
 
 def has_close_pair_brute_force(x, y):
     """All-pairs check, m x m memory: is some dx^2 + dy^2 <= MIN_NODE_GAP^2?"""

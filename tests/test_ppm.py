@@ -47,6 +47,15 @@ def test_plain_gray_round_trip(tmp_path, gray):
     assert np.array_equal(read_image(path), gray)
 
 
+def test_plain_writer_bytes_are_pinned(tmp_path):
+    gray = np.array([[0, 7, 255], [10, 200, 99]], dtype=np.uint8)
+    color = np.array([[[255, 0, 1], [2, 30, 128]]], dtype=np.uint8)
+    write_image(tmp_path / "g.pgm", gray, plain=True)
+    write_image(tmp_path / "c.ppm", color, plain=True)
+    assert (tmp_path / "g.pgm").read_bytes() == b"P2\n3 2\n255\n0 7 255\n10 200 99\n"
+    assert (tmp_path / "c.ppm").read_bytes() == b"P3\n2 1\n255\n255 0 1 2 30 128\n"
+
+
 def test_write_read_write_is_byte_stable(tmp_path, color):
     a = tmp_path / "a.ppm"
     b = tmp_path / "b.ppm"

@@ -9,8 +9,8 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from scipy import ndimage
 
-from cvb.fit1d import FitConfig
-from cvb.fit2d import ChebModel2D, TermIndex2D
+from cvb.fit1d import FitConfig, FitReport
+from cvb.fit2d import ChebModel2D, TermIndex2D, visit_order
 from cvb.rectify import (
     CalibrationMeta,
     CalibrationModel,
@@ -121,6 +121,23 @@ class TestCalibrateBasics:
         assert m.inv_u.xmap == m.inv_v.xmap and m.inv_u.ymap == m.inv_v.ymap
 
 
+class TestCalibrationStats:
+    def test_stats_are_fit_reports_ending_at_the_last_step(self, oracle_model):
+        for name, report in oracle_model.meta.stats.items():
+            assert isinstance(report, FitReport), name
+            last = report.trace[-1]
+            assert (report.max_abs_residual, report.l2_residual) == (last.max_abs_residual, last.l2_residual)
+
+    def test_sub_fit_with_empty_trace_reports_its_data(self):
+        # every world point on X = 0: fwd_x has nothing to fit and takes no step
+        pairs = [Correspondence(u, v, 0.0, 2.0 * u + v) for u in (1.0, 4.0, 9.0) for v in (0.0, 5.0)]
+        model = calibrate(pairs, FitConfig(epsilon=1e-9, max_terms=3))
+        fwd_x, fwd_y = model.meta.stats["fwd_x"], model.meta.stats["fwd_y"]
+        assert fwd_x.trace == () and fwd_x.converged
+        assert (fwd_x.max_abs_residual, fwd_x.l2_residual) == (0.0, 0.0)
+        assert fwd_y.trace and fwd_y.max_abs_residual == fwd_y.trace[-1].max_abs_residual
+
+
 class TestOracleAccuracy:
     def test_held_out_error_within_tenth_of_distortion(self, oracle_model):
         max_disp_mm = max_displacement_px(ORACLE) / ORACLE.scale
@@ -176,17 +193,6 @@ class TestWarp:
         # world window column c samples source column c - 3
         assert np.array_equal(out[:, 3:], img[:, :7])
         assert np.all(out[:, :3] == 0)
-
-    def test_missing_inverse_rejected(self, oracle_model):
-        broken = CalibrationModel(
-            fwd_x=oracle_model.fwd_x,
-            fwd_y=oracle_model.fwd_y,
-            inv_u=None,
-            inv_v=None,
-            meta=oracle_model.meta,
-        )
-        with pytest.raises(ValueError):
-            warp_image(broken, np.zeros((4, 4), dtype=np.uint8), WarpSpec(4, 4, (0, 1, 0, 1)))
 
     def test_matches_meshgrid_oracle_pixel_for_pixel(self, oracle_model):
         rng = np.random.default_rng(8)
@@ -327,16 +333,26 @@ class TestSerialization:
             terms = record[name]["terms"]
             assert terms[0][:2] == [0, 0]
 
-    def test_save_requires_all_submodels(self, oracle_model):
-        partial = CalibrationModel(
-            fwd_x=oracle_model.fwd_x,
-            fwd_y=oracle_model.fwd_y,
-            inv_u=None,
-            inv_v=None,
-            meta=oracle_model.meta,
-        )
-        with pytest.raises(ValueError, match="inv_u"):
-            save_model(partial)
+    def test_shuffled_terms_load_and_save_in_visit_order(self, oracle_model):
+        doc = save_model(oracle_model)
+        record = json.loads(doc)
+        rng = np.random.default_rng(12)
+        for name in ("fwd_x", "fwd_y", "inv_u", "inv_v"):
+            terms = record[name]["terms"]
+            record[name]["terms"] = [terms[k] for k in rng.permutation(len(terms))]
+        loaded = load_model(json.dumps(record))
+        n = loaded.meta.degree_bound
+        for name in ("fwd_x", "fwd_y", "inv_u", "inv_v"):
+            coeffs = getattr(loaded, name).coeffs
+            assert list(coeffs) == [t for t in visit_order(n) if t in coeffs]
+        assert save_model(loaded) == doc
+
+    def test_save_rejects_sub_fits_of_another_degree_bound(self):
+        pairs = grid_pairs(lambda u, v: (u, v), np.linspace(0, 30, 4), np.linspace(0, 20, 5))
+        model = calibrate(pairs, FitConfig(epsilon=1e-9, max_terms=4),
+                          inverse_config=FitConfig(epsilon=1e-9, max_terms=5))
+        with pytest.raises(ValueError, match="degree bound"):
+            save_model(model)
 
 
 def _document(epsilon="0.5", coefficient="1.0"):

@@ -99,6 +99,22 @@ class TestDistort:
     def test_default_max_displacement_near_four_px(self):
         assert max_displacement_px(DistortionParams()) == pytest.approx(4.0, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "params, expect",
+        [
+            (DistortionParams(), 4.0),
+            (DistortionParams(pincushion=0.02, center=(300, 200)), 10.681017039589443),
+            (DistortionParams(pincushion=-0.01, center=(500.0, 400.0)), 16.408005858421674),
+        ],
+    )
+    def test_max_displacement_is_the_pixel_grid_maximum(self, params, expect):
+        # oracle: the push |p| r^3 / R^2 at every pixel of the frame, 0..w by 0..h
+        w, h = params.image_size
+        uu, vv = np.meshgrid(np.arange(w + 1.0), np.arange(h + 1.0))
+        r = np.hypot(uu - params.center[0], vv - params.center[1])
+        grid_max = float(np.max(abs(params.pincushion) * r**3 / params.half_diagonal**2))
+        assert max_displacement_px(params) == grid_max == expect
+
     def test_displacement_scales_with_kappa(self):
         d1 = max_displacement_px(DistortionParams(pincushion=0.01))
         d2 = max_displacement_px(DistortionParams(pincushion=0.02))
