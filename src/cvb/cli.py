@@ -42,24 +42,26 @@ def _read_csv(path, columns):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != list(columns):
-            raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {','.join(header)!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field in {row}") from None
-            if not all(np.isfinite(values)):
-                raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
-            rows.append(values)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if [h.strip() for h in header] != list(columns):
+                raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {','.join(header)!r}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
+                try:
+                    values = [float(v) for v in row]
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-numeric field in {row}") from None
+                if not all(np.isfinite(values)):
+                    raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
+                rows.append(values)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows)

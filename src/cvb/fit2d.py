@@ -71,10 +71,15 @@ class ChebModel2D:
         object.__setattr__(self, "coeffs", {t: clean[t] for t in sorted(clean, key=_visit_key)})
 
     def dense(self) -> np.ndarray:
-        c = np.zeros((self.degree_bound, self.degree_bound))
-        for (i, j), value in self.coeffs.items():
-            c[i, j] = value
-        return c
+        return _coeff_array(self, self.degree_bound, self.degree_bound)
+
+
+def _coeff_array(model: ChebModel2D, ni: int, nj: int) -> np.ndarray:
+    """The coefficients as an (ni, nj) array; every term must fit inside it."""
+    c = np.zeros((ni, nj))
+    for (i, j), value in model.coeffs.items():
+        c[i, j] = value
+    return c
 
 
 def visit_order(n: int) -> list[TermIndex2D]:
@@ -138,27 +143,39 @@ def cvb_approximate_2d(
 
 
 def _axis_columns(model: ChebModel2D, x, y):
-    """Chebyshev columns Vx, Vy of raw x and y, warning per axis on extrapolation."""
+    """Chebyshev columns Vx, Vy of raw x and y, warning per axis on extrapolation.
+
+    Each axis gets columns up to the highest order a coefficient uses on it,
+    so the cost follows the model's terms, not its degree bound.
+    """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     # one frame deeper than a public evaluator, so warnings name its caller
     warn_if_extrapolating(model.xmap, x_arr, axis="x", stacklevel=4)
     warn_if_extrapolating(model.ymap, y_arr, axis="y", stacklevel=4)
-    vx = cheb_columns(model.xmap.forward(x_arr), model.degree_bound)
-    vy = cheb_columns(model.ymap.forward(y_arr), model.degree_bound)
+    ni = 1 + max((t.i for t in model.coeffs), default=0)
+    nj = 1 + max((t.j for t in model.coeffs), default=0)
+    vx = cheb_columns(model.xmap.forward(x_arr), ni)
+    vy = cheb_columns(model.ymap.forward(y_arr), nj)
     return vx, vy
 
 
 def eval_model_2d(model: ChebModel2D, x, y):
     """Evaluate the fitted surface at raw coordinates (scalars or arrays).
 
-    x and y must share one shape; P(x_i, y_i) = Vx[i] . C . Vy[i] is summed
-    point by point, so a batch gives the same bits as one call per point.
+    x and y must share one shape; P = sum a[i, j] Vx[..., i] Vy[..., j] is
+    accumulated term by term in visit order with elementwise operations only,
+    so a batch gives the same bits as one call per point.
     """
     if np.shape(x) != np.shape(y):
         raise ValueError(f"x and y must share one shape, got {np.shape(x)} and {np.shape(y)}")
     vx, vy = _axis_columns(model, x, y)
-    value = np.einsum("...i,ij,...j->...", vx, model.dense(), vy)
+    value = np.zeros(vx.shape[:-1])  # a scalar gets columns of shape (1, n)
+    term = np.empty_like(value)
+    for (i, j), c in model.coeffs.items():
+        np.multiply(vx[..., i], c, out=term)
+        term *= vy[..., j]
+        value += term
     return float(value[0]) if np.ndim(x) == 0 else value
 
 
@@ -169,7 +186,8 @@ def eval_grid_2d(model: ChebModel2D, x, y) -> np.ndarray:
     the layout of ``eval_model_2d`` over ``np.meshgrid(x, y)``, from the same
     Chebyshev columns.  The series is separable, so P = Vy . C^T . Vx^T: two
     matrix products, O(n W H), where one sum per grid point costs O(n^2 W H).
-    Values agree with ``eval_model_2d`` to rounding.
+    Values agree with ``eval_model_2d`` to rounding.  The result is a fresh
+    array that the caller owns.
     """
     vx, vy = _axis_columns(model, x, y)
-    return vy @ model.dense().T @ vx.T
+    return vy @ _coeff_array(model, vx.shape[-1], vy.shape[-1]).T @ vx.T

@@ -50,6 +50,9 @@ def read_image(path) -> np.ndarray:
         raise ValueError(f"unsupported image magic {magic!r} (want P2/P3/P5/P6)")
     channels = MAGIC_CHANNELS[magic]
     tokens, offset = _header_tokens(data, 4)
+    # the plain body's rule: decimal digits only, so no sign and no "1_0"
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ValueError(f"image header values must be decimal digits, got {b' '.join(tokens[1:])!r}")
     width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise ValueError(f"bad image dimensions {width}x{height}")

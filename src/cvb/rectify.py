@@ -149,24 +149,36 @@ def warp_image(model: CalibrationModel, image: np.ndarray, out_spec: WarpSpec, f
 
     Every output pixel center is mapped world -> source pixel and sampled
     nearest-neighbor; source positions outside the input raster take the
-    fill value (scalar for grayscale, scalar or RGB triple for color).
+    fill value (scalar for grayscale, scalar or RGB triple for color; any
+    other shape raises ValueError, however many pixels it would cover).
     """
     image = np.asarray(image)
+    in_h, in_w = image.shape[:2]
+    if in_h * in_w == 0:
+        raise ValueError(f"source image is empty, shape {image.shape}")
+    pixel = np.empty(image.shape[2:], dtype=image.dtype)
+    pixel[...] = fill
     x0, x1, y0, y1 = out_spec.window
     wx = x0 + (np.arange(out_spec.width) + 0.5) * (x1 - x0) / out_spec.width
     wy = y0 + (np.arange(out_spec.height) + 0.5) * (y1 - y0) / out_spec.height
     u = eval_grid_2d(model.inv_u, wx, wy)
     v = eval_grid_2d(model.inv_v, wx, wy)
     # nearest neighbor: pixel (r, c) covers [c, c+1) x [r, r+1).  The bounds
-    # test runs on the floats, so NaN, inf or huge extrapolated positions are
-    # never cast; for the valid ones, u >= 0 makes truncation equal floor.
-    in_h, in_w = image.shape[:2]
-    valid = (u >= 0) & (u < in_w) & (v >= 0) & (v < in_h)
-
-    shape = (out_spec.height, out_spec.width) + image.shape[2:]
-    out = np.empty(shape, dtype=image.dtype)
-    out[...] = fill
-    out[valid] = image[v[valid].astype(np.intp), u[valid].astype(np.intp)]
+    # test runs on the floats and the positions it rejects are zeroed before
+    # any cast, so NaN, inf or huge extrapolated positions never become
+    # indices.  u and v belong to this call: the flat index floor(v) * in_w +
+    # floor(u) is formed in v and cast into u's memory, since every large
+    # temporary costs page faults.
+    invalid = ~((u >= 0) & (u < in_w) & (v >= 0) & (v < in_h))
+    u[invalid] = 0.0
+    v[invalid] = 0.0
+    np.floor(v, out=v)
+    v *= in_w
+    v += np.floor(u, out=u)
+    index = u.view(np.int64)
+    index[...] = v
+    out = image.reshape((in_h * in_w,) + image.shape[2:]).take(index, axis=0)
+    out[invalid] = pixel
     return out
 
 
@@ -244,6 +256,8 @@ def load_model(document: str) -> CalibrationModel:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ModelParseError(f"invalid document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ModelParseError("document nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ModelParseError("document root must be an object")
     version = _require(doc, "version", "document")

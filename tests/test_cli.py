@@ -513,3 +513,96 @@ class TestNonFiniteOutput:
         code, stdout, stderr = run(capsys, "eval", "--model", str(overflowing_model), "--truth", str(truth))
         assert code == EXIT_VALIDATION and stdout == ""
         assert stderr.startswith("error: cannot serialize non-finite value")
+
+
+class TestParserEscapes:
+    """Inputs that used to escape the parsers as tracebacks."""
+
+    def test_deeply_nested_model_document(self, tmp_path, capsys):
+        model = tmp_path / "deep.json"
+        model.write_text("[" * 200_000 + "]" * 200_000)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,v\n1,2\n")
+        code, stdout, stderr = run(capsys, "apply", "--model", str(model), "--points", str(pts),
+                                   "--out", str(tmp_path / "out.csv"))
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith("error: ") and "nests too deeply" in stderr
+
+    @pytest.mark.parametrize("text, line", [("u,v\n1," + "1" * 131_073 + "\n", 2), ("u," + "v" * 131_073 + "\n1,2\n", 1)],
+                             ids=["data row", "header"])
+    def test_csv_field_over_the_size_limit(self, identity_model, tmp_path, capsys, text, line):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        code, stdout, stderr = run(capsys, "apply", "--model", str(identity_model), "--points", str(pts),
+                                   "--out", str(tmp_path / "out.csv"))
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith(f"error: {pts}:{line}: field larger than field limit")
+
+    @pytest.mark.parametrize("sizes", [b"+2 10 255", b"2 1_0 255", b"2 10 +255", b"2 \xd9\xa1\xd9\xa0 255"])
+    def test_image_header_takes_digits_only(self, identity_model, tmp_path, capsys, sizes):
+        src = tmp_path / "in.pgm"
+        src.write_bytes(b"P2\n" + sizes + b"\n" + b" 7" * 20 + b"\n")
+        out = tmp_path / "out.pgm"
+        code, _, stderr = run(capsys, "warp", "--model", str(identity_model), "--input", str(src),
+                              "--output", str(out), "--window=0,16,0,12")
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: image header values must be decimal digits")
+        assert not out.exists()
+
+
+CHILD_UNDER_MEMORY_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cvb.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestHugeDegreeBound:
+    """A degree bound of 10^6 with one term per sub-fit costs what its one term costs.
+
+    Each command runs in a child process whose address space is capped at
+    1 GiB, so an evaluator that sizes its work by the degree bound fails there
+    without touching the test process.
+    """
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        terms = {"fwd_x": "[1, 0, 5.0]", "fwd_y": "[0, 1, 4.0]", "inv_u": "[0, 0, 1.5]", "inv_v": "[0, 0, 0.5]"}
+        subs = ",\n".join(f'  "{name}": {{"xmap": [0, 10], "ymap": [0, 10], "terms": [{term}]}}'
+                           for name, term in terms.items())
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{\n  "version": 1,\n  "epsilon": 0.5,\n  "degree_bound": 1000000,\n{subs}\n}}\n')
+        return path
+
+    def cvb(self, *argv):
+        src = str(Path(cvb.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", CHILD_UNDER_MEMORY_LIMIT, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_apply(self, model, tmp_path):
+        pts, out = tmp_path / "pts.csv", tmp_path / "mapped.csv"
+        pts.write_text("u,v\n7.5,2.5\n")
+        code, stdout, stderr = self.cvb("apply", "--model", str(model), "--points", str(pts), "--out", str(out))
+        assert (code, stdout, stderr) == (EXIT_OK, "1\n", "")
+        # X = 5 T_1(tu) = u - 5 and Y = 4 T_1(tv) = 0.8 v - 4
+        assert out.read_text() == "u,v,X,Y\n7.5,2.5,2.5,-2\n"
+
+    def test_eval(self, model, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("u,v,X,Y\n7.5,2.5,2.5,-1\n")
+        code, stdout, stderr = self.cvb("eval", "--model", str(model), "--truth", str(truth))
+        assert (code, stderr) == (EXIT_OK, "")
+        assert stdout == "max_err_mm=1\nrms_err_mm=1\nn_points=1\n"
+
+    def test_warp(self, model, tmp_path):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_image(src, np.arange(6, dtype=np.uint8).reshape(2, 3) * 40)
+        code, stdout, stderr = self.cvb("warp", "--model", str(model), "--input", str(src), "--output", str(out),
+                                        "--window=1,9,1,9", "--width", "4", "--height", "3")
+        assert (code, stderr) == (EXIT_OK, "")
+        # every output pixel maps back to source (u, v) = (1.5, 0.5): row 0, column 1
+        assert np.array_equal(read_image(out), np.full((3, 4), 40, dtype=np.uint8))

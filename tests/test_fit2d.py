@@ -394,6 +394,73 @@ class TestEvalModel2D:
             eval_model_2d(model, x, y)
 
 
+def sparse_models():
+    """Models whose terms reach less far than their degree bound, on both axes or one."""
+    maps = {"xmap": DomainMap(-40.0, 25.0), "ymap": DomainMap(3.0, 9.0)}
+    models = {
+        "empty": ChebModel2D(coeffs={}, degree_bound=12, **maps),
+        "constant only": ChebModel2D(coeffs={T(0, 0): 2.5}, degree_bound=12, **maps),
+        "high i only": ChebModel2D(coeffs={T(9, 0): 1.5}, degree_bound=12, **maps),
+        "high j only": ChebModel2D(coeffs={T(0, 10): -0.75}, degree_bound=12, **maps),
+    }
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        support = visit_order(int(rng.integers(1, 8)))
+        kept = [t for t in support if rng.random() < 0.6]
+        coeffs = {t: rng.uniform(-5, 5) for t in kept}
+        models[f"random triangle {seed}"] = ChebModel2D(coeffs=coeffs, degree_bound=12, **maps)
+    return models
+
+
+SPARSE_MODELS = sparse_models()
+
+
+def dense_oracle(model, x, y):
+    """numpy's Clenshaw pass over the full degree_bound x degree_bound array."""
+    return C.chebval2d(model.xmap.forward(np.asarray(x)), model.ymap.forward(np.asarray(y)), model.dense())
+
+
+@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
+@pytest.mark.parametrize("name", SPARSE_MODELS)
+class TestSparseSupport:
+    """Evaluation builds columns only as far as the terms reach; values must not change."""
+
+    def axes(self, model):
+        # reaching 20% beyond the fitted interval on both axes
+        x = model.xmap.backward(np.linspace(-1.2, 1.2, 23))
+        y = model.ymap.backward(np.linspace(-1.2, 1.2, 17))
+        return x, y
+
+    def test_points_match_dense_oracle(self, name):
+        model = SPARSE_MODELS[name]
+        xx, yy = np.meshgrid(*self.axes(model))
+        got = eval_model_2d(model, xx, yy)
+        expect = dense_oracle(model, xx, yy)
+        assert got.shape == xx.shape
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
+        if not model.coeffs:
+            assert np.all(got == 0.0)
+
+    def test_grid_matches_dense_oracle(self, name):
+        model = SPARSE_MODELS[name]
+        x, y = self.axes(model)
+        got = eval_grid_2d(model, x, y)
+        expect = dense_oracle(model, *np.meshgrid(x, y))
+        assert got.shape == (y.size, x.size)
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
+        if not model.coeffs:
+            assert np.all(got == 0.0)
+
+    def test_batch_equals_one_call_per_point_bit_for_bit(self, name):
+        model = SPARSE_MODELS[name]
+        rng = np.random.default_rng(9)
+        x = model.xmap.backward(rng.uniform(-1.2, 1.2, 40))
+        y = model.ymap.backward(rng.uniform(-1.2, 1.2, 40))
+        batch = eval_model_2d(model, x, y)
+        single = np.array([eval_model_2d(model, float(a), float(b)) for a, b in zip(x, y)])
+        assert batch.tobytes() == single.tobytes()
+
+
 class TestEvalGrid2D:
     @pytest.fixture
     def model(self):

@@ -260,6 +260,82 @@ class TestWarp:
             assert offset <= 1.0
 
 
+def mask_gather(image, u, v, fill):
+    """The boolean-mask warp gather: bounds test on the floats, truncate, index in two axes."""
+    in_h, in_w = image.shape[:2]
+    valid = (u >= 0) & (u < in_w) & (v >= 0) & (v < in_h)
+    out = np.empty(u.shape + image.shape[2:], dtype=image.dtype)
+    out[...] = fill
+    out[valid] = image[v[valid].astype(np.intp), u[valid].astype(np.intp)]
+    return out
+
+
+@pytest.fixture
+def planted_warp(monkeypatch):
+    """warp_image with source positions planted in place of the inverse surfaces.
+
+    Returns ``warp(image, u, v, fill)``; the warp receives its own copies of u
+    and v, as it does from ``eval_grid_2d``.
+    """
+    import cvb.rectify
+
+    sub = {name: ChebModel2D(coeffs={TermIndex2D(0, 0): float(k)}, degree_bound=2)
+           for k, name in enumerate(("fwd_x", "fwd_y", "inv_u", "inv_v"))}
+    model = CalibrationModel(**sub, meta=CalibrationMeta(epsilon=0.5, degree_bound=2))
+
+    def warp(image, u, v, fill):
+        planted = {id(sub["inv_u"]): u, id(sub["inv_v"]): v}
+        monkeypatch.setattr(cvb.rectify, "eval_grid_2d", lambda m, wx, wy: planted[id(m)].copy())
+        h, w = u.shape
+        return warp_image(model, image, WarpSpec(w, h, (0.0, 1.0, 0.0, 1.0)), fill=fill)
+
+    return warp
+
+
+def planted_positions(in_h, in_w, shape, seed):
+    """Random in-raster positions with every awkward value planted on each axis."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0, in_w, shape)
+    v = rng.uniform(0, in_h, shape)
+    awkward = [np.nan, np.inf, -np.inf, -0.5, 1e300, -1e300, -0.0, 0.0]
+    for k, value in enumerate(awkward + [in_w, in_w - 1e-9]):
+        u.flat[3 * k] = value
+    for k, value in enumerate(awkward + [in_h, in_h - 1e-9]):
+        v.flat[3 * k + 1] = value
+    u.flat[-1], v.flat[-1] = in_w, in_h
+    return u, v
+
+
+class TestPlantedWarp:
+    @pytest.mark.parametrize("channels, fill", [(None, 0), (None, 7), (3, 9), (3, (1, 2, 3)),
+                                                (3, np.array([4, 5, 6], dtype=np.uint8))])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_mask_gather(self, planted_warp, channels, fill, seed):
+        rng = np.random.default_rng(seed)
+        image = rng.integers(0, 256, size=(7, 11) + ((channels,) if channels else ()), dtype=np.uint8)
+        u, v = planted_positions(7, 11, (6, 9), seed)
+        expect = mask_gather(image, u, v, fill)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = planted_warp(image, u, v, fill)
+        assert got.dtype == image.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("n_invalid", [0, 3, 40])
+    def test_triple_fill_on_grayscale_rejected_however_many_pixels_miss(self, planted_warp, n_invalid):
+        # a 3-wide raster would let a (3,) fill broadcast along its rows
+        image = np.arange(20, dtype=np.uint8).reshape(4, 5)
+        u = np.full((20, 3), 2.5)
+        v = np.full((20, 3), 1.5)
+        u.flat[:n_invalid] = -1.0
+        with pytest.raises(ValueError):
+            planted_warp(image, u, v, (1, 2, 3))
+
+    def test_empty_source_image_rejected(self, planted_warp):
+        with pytest.raises(ValueError, match="empty"):
+            planted_warp(np.zeros((0, 5), dtype=np.uint8), np.zeros((2, 2)), np.zeros((2, 2)), 0)
+
+
 class TestSerialization:
     def test_round_trip_byte_identical(self, oracle_model):
         doc = save_model(oracle_model)
