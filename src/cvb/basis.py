@@ -162,11 +162,13 @@ def cheb_columns(x, count: int) -> np.ndarray:
     return _cheb.chebvander(np.asarray(x, dtype=float), count - 1)
 
 
-def warn_if_extrapolating(xmap: DomainMap, x, axis: str = "x", stacklevel: int = 3) -> None:
-    """Emit ExtrapolationWarning when any evaluation point leaves the fit interval."""
-    if not np.all(xmap.contains(np.asarray(x, dtype=float))):
-        warnings.warn(
-            f"evaluation outside the fitted {axis} interval [{xmap.lo}, {xmap.hi}]",
-            ExtrapolationWarning,
-            stacklevel=stacklevel,
-        )
+def warn_if_extrapolating(xmap: DomainMap, x, axis: str = "x", stacklevel: int = 3) -> bool:
+    """Emit ExtrapolationWarning when any evaluation point leaves the fit interval; True if it did."""
+    if np.all(xmap.contains(np.asarray(x, dtype=float))):
+        return False
+    warnings.warn(
+        f"evaluation outside the fitted {axis} interval [{xmap.lo}, {xmap.hi}]",
+        ExtrapolationWarning,
+        stacklevel=stacklevel,
+    )
+    return True

@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, fitting, calibration, warping.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 non-convergence
-under --strict.  Data goes to files or stdout; diagnostics go to stderr.
+Exit codes: 0 success, 1 validation error or a request that needs more
+memory than the process can get, 2 I/O error, 3 non-convergence under
+--strict.  Data goes to files or stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -319,6 +320,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, FitError, ModelParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # e.g. a huge --width/--height or --degree-bound
+        print(f"error: not enough memory for this {args.command} request ({str(exc) or 'allocation failed'})",
+              file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

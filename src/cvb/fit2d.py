@@ -90,9 +90,13 @@ def visit_order(n: int) -> list[TermIndex2D]:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    pairs = [TermIndex2D(i, j) for i in range(n) for j in range(n - i)]
-    pairs.sort(key=_visit_key)
-    return pairs
+    # Within total degree d the order is i = 0, d, 1, d - 1, ...  The index
+    # arrays are sized before any label exists, so a bound too large for
+    # memory fails at once, naming the size, instead of filling memory first.
+    d = np.repeat(np.arange(n), np.arange(1, n + 1))
+    k = np.arange(d.size) - d * (d + 1) // 2
+    i = np.where(k % 2 == 0, k // 2, d - k // 2)
+    return list(map(TermIndex2D, i.tolist(), (d - i).tolist()))
 
 
 def revisit_set(last: TermIndex2D, order: list[TermIndex2D]) -> list[TermIndex2D]:
@@ -143,7 +147,7 @@ def cvb_approximate_2d(
 
 
 def _axis_columns(model: ChebModel2D, x, y):
-    """Chebyshev columns Vx, Vy of raw x and y, warning per axis on extrapolation.
+    """Chebyshev columns Vx, Vy of raw 1-D axes x and y, warning per axis on extrapolation.
 
     Each axis gets columns up to the highest order a coefficient uses on it,
     so the cost follows the model's terms, not its degree bound.
@@ -160,23 +164,64 @@ def _axis_columns(model: ChebModel2D, x, y):
     return vx, vy
 
 
+# Points per block of the point evaluator: a block's Chebyshev columns and
+# temporaries stay in cache, and its memory does not grow with the batch.
+_BLOCK = 8192
+
+
+def _eval_points(models, x, y):
+    """Evaluate the surfaces ``models`` at the raw points (x, y) of one shape.
+
+    Columns are built once per distinct map on each axis, up to the highest
+    order any of its surfaces uses, over blocks of ``_BLOCK`` points.  Each
+    surface sums c * Vx[:, i] * Vy[:, j] in visit order with elementwise
+    steps, and T_k has the same bits however many columns are built, so a
+    value depends only on its own point and surface.  Warns once per axis map
+    that a point leaves.  Returns per surface a float for scalar input, else
+    an array of the input's shape.
+    """
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"x and y must share one shape, got {np.shape(x)} and {np.shape(y)}")
+    coords = {"x": np.asarray(x, dtype=float).ravel(), "y": np.asarray(y, dtype=float).ravel()}
+    counts = {}  # (axis, map) -> column count, in order of first use
+    for model in models:
+        for axis, dmap, k in (("x", model.xmap, 0), ("y", model.ymap, 1)):
+            top = 1 + max((t[k] for t in model.coeffs), default=0)
+            counts[axis, dmap] = max(counts.get((axis, dmap), 1), top)
+    for axis, dmap in counts:
+        for start in range(0, coords[axis].size, _BLOCK):
+            # one frame deeper than a public evaluator, so warnings name its caller
+            if warn_if_extrapolating(dmap, coords[axis][start:start + _BLOCK], axis=axis, stacklevel=4):
+                break
+    m = coords["x"].size
+    values = [np.zeros(m) for _ in models]
+    scratch = np.empty(min(m, _BLOCK))
+    for start in range(0, m, _BLOCK):
+        stop = min(start + _BLOCK, m)
+        cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis][start:stop]), n)
+                for (axis, dmap), n in counts.items()}
+        term = scratch[: stop - start]
+        for model, value in zip(models, values):
+            vx, vy, out = cols["x", model.xmap], cols["y", model.ymap], value[start:stop]
+            for (i, j), c in model.coeffs.items():
+                np.multiply(vx[:, i], c, out=term)
+                term *= vy[:, j]
+                out += term
+    if np.ndim(x) == 0:
+        return tuple(float(value[0]) for value in values)
+    return tuple(value.reshape(np.shape(x)) for value in values)
+
+
 def eval_model_2d(model: ChebModel2D, x, y):
     """Evaluate the fitted surface at raw coordinates (scalars or arrays).
 
     x and y must share one shape; P = sum a[i, j] Vx[..., i] Vy[..., j] is
     accumulated term by term in visit order with elementwise operations only,
-    so a batch gives the same bits as one call per point.
+    so a batch gives the same bits as one call per point.  Points go through
+    the blocked evaluator ``map_point`` uses, so memory beyond the result is fixed.
     """
-    if np.shape(x) != np.shape(y):
-        raise ValueError(f"x and y must share one shape, got {np.shape(x)} and {np.shape(y)}")
-    vx, vy = _axis_columns(model, x, y)
-    value = np.zeros(vx.shape[:-1])  # a scalar gets columns of shape (1, n)
-    term = np.empty_like(value)
-    for (i, j), c in model.coeffs.items():
-        np.multiply(vx[..., i], c, out=term)
-        term *= vy[..., j]
-        value += term
-    return float(value[0]) if np.ndim(x) == 0 else value
+    (value,) = _eval_points((model,), x, y)
+    return value
 
 
 def eval_grid_2d(model: ChebModel2D, x, y) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import MIN_NODE_GAP, DomainMap, _has_close_pair, auto_map
 from .fit1d import FitConfig, FitError
-from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, cvb_approximate_2d, eval_grid_2d, eval_model_2d
+from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _eval_points, cvb_approximate_2d, eval_grid_2d
 
 SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
@@ -108,19 +108,17 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
 
 
 def map_point(model: CalibrationModel, u: float, v: float):
-    """Pixel (u, v) to world (X, Y) through the forward fits."""
-    return (
-        eval_model_2d(model.fwd_x, u, v),
-        eval_model_2d(model.fwd_y, u, v),
-    )
+    """Pixel (u, v) to world (X, Y) through the forward fits.
+
+    Both surfaces share one blocked pass over their Chebyshev columns, with
+    the bits of ``eval_model_2d`` and one extrapolation warning per axis map.
+    """
+    return _eval_points((model.fwd_x, model.fwd_y), u, v)
 
 
 def map_world(model: CalibrationModel, X: float, Y: float):
-    """World (X, Y) back to pixel (u, v) through the inverse fits."""
-    return (
-        eval_model_2d(model.inv_u, X, Y),
-        eval_model_2d(model.inv_v, X, Y),
-    )
+    """World (X, Y) back to pixel (u, v) through the inverse fits, as ``map_point`` does."""
+    return _eval_points((model.inv_u, model.inv_v), X, Y)
 
 
 @dataclass(frozen=True)

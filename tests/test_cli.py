@@ -269,6 +269,40 @@ class TestCalibrationPipeline:
         assert stdout == (f"max_err_mm={np.sqrt(errors.max()):.17g}\n"
                           f"rms_err_mm={np.sqrt(errors.mean()):.17g}\nn_points=40\n")
 
+    def test_apply_and_eval_bytes_equal_per_surface_evaluation(self, model_json, tmp_path, capsys):
+        """20k points span three blocks of the shared point evaluator.
+
+        The oracle evaluates each forward surface on its own; test_rectify
+        pins that call to the unblocked per-surface sum, so a reordered sum
+        shows here or there instead of moving the CLI's bytes silently.
+        """
+        from cvb.fit2d import eval_model_2d
+        from cvb.rectify import load_model
+        from cvb.synthetic import DistortionParams, distort
+
+        rng = np.random.default_rng(20)
+        world = np.column_stack([rng.uniform(-300, 300, 20_000), rng.uniform(-220, 220, 20_000)])
+        u, v = distort(DistortionParams(), world[:, 0], world[:, 1])
+        pts, truth = tmp_path / "pts.csv", tmp_path / "truth.csv"
+        pts.write_text("u,v\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(u, v)))
+        truth.write_text("u,v,X,Y\n" + "".join(f"{a:.17g},{b:.17g},{X:.17g},{Y:.17g}\n"
+                                                for a, b, (X, Y) in zip(u, v, world)))
+        model = load_model(model_json.read_text())
+        X, Y = eval_model_2d(model.fwd_x, u, v), eval_model_2d(model.fwd_y, u, v)
+        errors = (X - world[:, 0]) ** 2 + (Y - world[:, 1]) ** 2
+
+        out = tmp_path / "mapped.csv"
+        code, stdout, _ = run(capsys, "apply", "--model", str(model_json), "--points", str(pts),
+                              "--out", str(out))
+        assert code == EXIT_OK and stdout == "20000\n"
+        rows = "".join(",".join(format(float(c), ".17g") for c in row) + "\n" for row in zip(u, v, X, Y))
+        assert out.read_text() == "u,v,X,Y\n" + rows
+
+        code, stdout, _ = run(capsys, "eval", "--model", str(model_json), "--truth", str(truth))
+        assert code == EXIT_OK
+        assert stdout == (f"max_err_mm={np.sqrt(errors.max()):.17g}\n"
+                          f"rms_err_mm={np.sqrt(errors.mean()):.17g}\nn_points=20000\n")
+
     @pytest.mark.parametrize("field, value", [("epsilon", "null"), ("epsilon", "NaN"),
                                               ("coefficient", "null"), ("coefficient", '"x"')])
     def test_eval_on_non_numeric_model_field_is_validation_error(self, model_json, pairs_csv, tmp_path,
@@ -606,3 +640,36 @@ class TestHugeDegreeBound:
         assert (code, stderr) == (EXIT_OK, "")
         # every output pixel maps back to source (u, v) = (1.5, 0.5): row 0, column 1
         assert np.array_equal(read_image(out), np.full((3, 4), 40, dtype=np.uint8))
+
+
+class TestOutOfMemory:
+    """A request too large for memory is an `error: …` line with exit 1, not a traceback.
+
+    Each command runs in the same 1 GiB child as TestHugeDegreeBound, so the
+    allocation fails there, never in the test process.
+    """
+
+    cvb = TestHugeDegreeBound.cvb
+
+    def test_warp_to_a_huge_raster(self, tmp_path):
+        model, src, out = tmp_path / "model.json", tmp_path / "in.pgm", tmp_path / "out.pgm"
+        subs = ",\n".join(f'  "{name}": {{"xmap": [0, 10], "ymap": [0, 10], "terms": [[0, 0, 1.0]]}}'
+                           for name in ("fwd_x", "fwd_y", "inv_u", "inv_v"))
+        model.write_text(f'{{\n  "version": 1,\n  "epsilon": 0.5,\n  "degree_bound": 2,\n{subs}\n}}\n')
+        write_image(src, np.zeros((2, 3), dtype=np.uint8))
+        code, stdout, stderr = self.cvb("warp", "--model", str(model), "--input", str(src), "--output", str(out),
+                                        "--window=1,9,1,9", "--width", "200000", "--height", "200000")
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr.startswith("error: not enough memory for this warp request (Unable to allocate ")
+        assert "(200000, 200000)" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
+    def test_calibrate_with_a_huge_degree_bound(self, tmp_path, capsys):
+        pairs, model = tmp_path / "pairs.csv", tmp_path / "model.json"
+        run(capsys, "gen", "correspondences", "--out", str(pairs))
+        code, stdout, stderr = self.cvb("calibrate", "--pairs", str(pairs), "--degree-bound", "100000",
+                                        "--out", str(model))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr.startswith("error: not enough memory for this calibrate request (Unable to allocate ")
+        assert "Traceback" not in stderr
+        assert not model.exists()

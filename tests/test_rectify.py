@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from scipy import ndimage
 
+from cvb.basis import DomainMap, ExtrapolationWarning
 from cvb.fit1d import FitConfig, FitReport
-from cvb.fit2d import ChebModel2D, TermIndex2D, visit_order
+from cvb.fit2d import _BLOCK, ChebModel2D, TermIndex2D, eval_model_2d, visit_order
 from cvb.rectify import (
     CalibrationMeta,
     CalibrationModel,
@@ -466,3 +468,164 @@ class TestLoadModelRejectsNonReals:
         model = load_model(_document(epsilon="1", coefficient="3"))
         assert model.meta.epsilon == 1.0
         assert map_point(model, 5.0, 5.0) == (3.0, 1.0)
+
+
+def unblocked_surface(sub, x, y):
+    """One surface over the whole batch at once, the sum before blocking.
+
+    All ``degree_bound`` columns from numpy's chebvander, then
+    c * Vx[..., i] * Vy[..., j] added term by term in visit order.
+    """
+    vx = C.chebvander(sub.xmap.forward(np.asarray(x, dtype=float)), sub.degree_bound - 1)
+    vy = C.chebvander(sub.ymap.forward(np.asarray(y, dtype=float)), sub.degree_bound - 1)
+    value = np.zeros(np.shape(x))
+    for (i, j), c in sub.coeffs.items():
+        value += vx[..., i] * c * vy[..., j]
+    return value
+
+
+def loaded(fwd_x, fwd_y, inv_u, inv_v):
+    model = CalibrationModel(fwd_x, fwd_y, inv_u, inv_v, CalibrationMeta(epsilon=0.5, degree_bound=8))
+    return load_model(save_model(model))
+
+
+def random_surface(rng, n, xmap, ymap):
+    return ChebModel2D({t: rng.uniform(-50, 50) for t in visit_order(n)}, xmap=xmap, ymap=ymap, degree_bound=8)
+
+
+def evaluator_models():
+    rng = np.random.default_rng(17)
+    frame_u, frame_v = DomainMap(-6.4, 646.4), DomainMap(-4.8, 484.8)
+    world_x, world_y = DomainMap(-330.0, 330.0), DomainMap(-250.0, 250.0)
+    return {
+        "calibrated": calibrate(gen_correspondences(ORACLE), FWD_CONFIG, inverse_config=INV_CONFIG),
+        "differing maps": loaded(
+            random_surface(rng, 8, frame_u, frame_v), random_surface(rng, 8, DomainMap(0.0, 600.0), frame_v),
+            random_surface(rng, 8, world_x, world_y), random_surface(rng, 8, world_x, DomainMap(-200.0, 260.0)),
+        ),
+        "unequal degrees": loaded(
+            random_surface(rng, 8, frame_u, frame_v), random_surface(rng, 3, frame_u, frame_v),
+            random_surface(rng, 2, world_x, world_y), random_surface(rng, 7, world_x, world_y),
+        ),
+    }
+
+
+EVALUATOR_MODELS = evaluator_models()
+SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2]
+
+
+def frame_points(size, seed=3):
+    """Pixel and world points reaching 5% beyond the calibrated frame."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(-32.0, 672.0, size), rng.uniform(-24.0, 504.0, size)
+    X, Y = rng.uniform(-340.0, 340.0, size), rng.uniform(-260.0, 260.0, size)
+    return u, v, X, Y
+
+
+@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
+@pytest.mark.parametrize("name", EVALUATOR_MODELS)
+class TestSharedPointEvaluator:
+    """map_point and map_world evaluate both surfaces in one blocked pass.
+
+    Each value must keep the bits of its own per-surface call, whatever the
+    block boundaries, the other surface or the batch size.
+    """
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_equals_per_surface_calls_bit_for_bit(self, name, size):
+        model = EVALUATOR_MODELS[name]
+        u, v, X, Y = frame_points(size)
+        for mapped, subs, a, b in ((map_point(model, u, v), (model.fwd_x, model.fwd_y), u, v),
+                                   (map_world(model, X, Y), (model.inv_u, model.inv_v), X, Y)):
+            for got, sub in zip(mapped, subs):
+                assert got.shape == (size,)
+                assert got.tobytes() == eval_model_2d(sub, a, b).tobytes()
+                assert got.tobytes() == unblocked_surface(sub, a, b).tobytes()
+
+    @pytest.mark.parametrize("size", SIZES[1:])
+    def test_equals_scalar_calls_bit_for_bit(self, name, size):
+        # every block edge, plus seeded points between them
+        model = EVALUATOR_MODELS[name]
+        u, v, X, Y = frame_points(size)
+        edges = [k for k in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, size - 1) if k < size]
+        picks = sorted(set(edges) | set(np.random.default_rng(5).integers(0, size, 30).tolist()))
+        for mapping, a, b in ((map_point, u, v), (map_world, X, Y)):
+            batch = np.column_stack(mapping(model, a, b))[picks]
+            single = np.array([mapping(model, float(a[k]), float(b[k])) for k in picks])
+            assert batch.tobytes() == single.tobytes()
+
+    def test_two_dimensional_input(self, name):
+        model = EVALUATOR_MODELS[name]
+        u, v, _, _ = frame_points(130 * 64)  # more points than one block
+        u, v = u.reshape(130, 64), v.reshape(130, 64)
+        for got, sub in zip(map_point(model, u, v), (model.fwd_x, model.fwd_y)):
+            assert got.shape == (130, 64)
+            assert got.tobytes() == unblocked_surface(sub, u, v).tobytes()
+
+    def test_scalar_returns_floats(self, name):
+        model = EVALUATOR_MODELS[name]
+        for mapping, a, b in ((map_point, 320.0, 240.0), (map_world, 10.0, -20.0)):
+            got = mapping(model, a, b)
+            assert [type(value) for value in got] == [float, float]
+            assert np.array(got).tobytes() == np.array(mapping(model, np.array([a]), np.array([b]))).tobytes()
+
+    @pytest.mark.parametrize("a, b", [(np.zeros(3), np.zeros(4)), (0.5, np.zeros(2)), (np.zeros((2, 3)), np.zeros(6))])
+    def test_shape_mismatch_raises(self, name, a, b):
+        model = EVALUATOR_MODELS[name]
+        for mapping in (map_point, map_world):
+            with pytest.raises(ValueError, match="share one shape"):
+                mapping(model, a, b)
+
+
+class TestMapPointWarnings:
+    def record(self, model, u, v):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            map_point(model, u, v)
+        return caught
+
+    def test_shared_maps_warn_once_per_axis(self):
+        model = EVALUATOR_MODELS["calibrated"]
+        assert model.fwd_x.xmap == model.fwd_y.xmap and model.fwd_x.ymap == model.fwd_y.ymap
+        u, v = np.full(3 * _BLOCK, 320.0), np.full(3 * _BLOCK, 240.0)
+        assert self.record(model, u, v) == []
+        u[2 * _BLOCK + 5] = 1e4  # only u leaves, in the third block
+        caught = self.record(model, u, v)
+        assert [w.category for w in caught] == [ExtrapolationWarning]
+        assert "fitted x interval" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+    def test_differing_maps_warn_once_per_map(self):
+        model = EVALUATOR_MODELS["differing maps"]
+        assert model.fwd_x.xmap != model.fwd_y.xmap and model.fwd_x.ymap == model.fwd_y.ymap
+        caught = self.record(model, np.array([320.0, 1e4]), np.array([240.0, 240.0]))
+        assert [w.category for w in caught] == [ExtrapolationWarning] * 2
+        assert [str(w.message) for w in caught] == [
+            f"evaluation outside the fitted x interval [{sub.xmap.lo}, {sub.xmap.hi}]"
+            for sub in (model.fwd_x, model.fwd_y)
+        ]
+        assert [w.filename for w in caught] == [__file__] * 2
+        # 620 lies inside fwd_x's u interval and outside fwd_y's
+        caught = self.record(model, np.array([620.0]), np.array([240.0]))
+        assert [str(w.message) for w in caught] == [
+            f"evaluation outside the fitted x interval [{model.fwd_y.xmap.lo}, {model.fwd_y.xmap.hi}]"
+        ]
+
+
+def test_map_point_memory_is_linear_in_the_outputs_only():
+    """Beyond its two results, map_point holds a fixed amount, whatever the batch.
+
+    Evaluating each surface over the whole batch at once would hold
+    m x degree_bound columns per axis: 50 MB at these 400k points.
+    """
+    rng = np.random.default_rng(11)
+    frame_u, frame_v = DomainMap(-6.4, 646.4), DomainMap(-4.8, 484.8)
+    model = loaded(*(random_surface(rng, 8, frame_u, frame_v) for _ in range(4)))
+    u, v = rng.uniform(0.0, 640.0, 400_000), rng.uniform(0.0, 480.0, 400_000)
+    tracemalloc.start()
+    try:
+        X, Y = map_point(model, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes + Y.nbytes + 4 * 2**20
