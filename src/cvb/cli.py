@@ -69,8 +69,9 @@ def _read_csv(path, columns):
 
 
 def _write_csv(path, columns, rows):
-    # format first: a non-finite value raises before the file is touched
-    text = [[_fmt(v) for v in row] for row in rows]
+    # format first: a non-finite value raises before the file is touched;
+    # str cells (labels) pass through as they are
+    text = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -121,15 +122,10 @@ def _write_trace(path, report, n_coeffs=0):
     """Per-step trace CSV; curve traces also carry coefficient snapshots."""
     columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"]
     columns += [f"a{j}" for j in range(n_coeffs)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for step, entry in enumerate(report.trace, start=1):
-            term = entry.term if isinstance(entry.term, int) else f"{entry.term[0]}:{entry.term[1]}"
-            row = [step, term, _fmt(entry.increment),
-                   _fmt(entry.max_abs_residual), _fmt(entry.l2_residual)]
-            row += [_fmt(c) for c in (entry.coeffs or ())]
-            writer.writerow(row)
+    rows = [[step, entry.term if isinstance(entry.term, int) else f"{entry.term[0]}:{entry.term[1]}",
+             entry.increment, entry.max_abs_residual, entry.l2_residual, *(entry.coeffs or ())]
+            for step, entry in enumerate(report.trace, start=1)]
+    _write_csv(path, columns, rows)
 
 
 def cmd_fit1d(args) -> int:

@@ -146,53 +146,48 @@ def cvb_approximate_2d(
     return model, report
 
 
-def _axis_columns(model: ChebModel2D, x, y):
-    """Chebyshev columns Vx, Vy of raw 1-D axes x and y, warning per axis on extrapolation.
-
-    Each axis gets columns up to the highest order a coefficient uses on it,
-    so the cost follows the model's terms, not its degree bound.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    # one frame deeper than a public evaluator, so warnings name its caller
-    warn_if_extrapolating(model.xmap, x_arr, axis="x", stacklevel=4)
-    warn_if_extrapolating(model.ymap, y_arr, axis="y", stacklevel=4)
-    ni = 1 + max((t.i for t in model.coeffs), default=0)
-    nj = 1 + max((t.j for t in model.coeffs), default=0)
-    vx = cheb_columns(model.xmap.forward(x_arr), ni)
-    vy = cheb_columns(model.ymap.forward(y_arr), nj)
-    return vx, vy
-
-
 # Points per block of the point evaluator: a block's Chebyshev columns and
 # temporaries stay in cache, and its memory does not grow with the batch.
 _BLOCK = 8192
 
 
+def _reach(model: ChebModel2D):
+    """Columns each axis needs: one past the highest order a term uses there."""
+    return tuple(1 + max((t[k] for t in model.coeffs), default=0) for k in (0, 1))
+
+
+def _column_plan(models, coords):
+    """Column count per distinct (axis, map) of ``models``: the most any of its surfaces uses.
+
+    So the cost follows the terms, not the degree bound.  Warns once per axis
+    map that a coordinate in ``coords[axis]`` leaves.
+    """
+    counts = {}
+    for model in models:
+        for axis, dmap, n in zip("xy", (model.xmap, model.ymap), _reach(model)):
+            counts[axis, dmap] = max(counts.get((axis, dmap), 1), n)
+    for axis, dmap in counts:
+        for start in range(0, coords[axis].size, _BLOCK):
+            # two frames below a public evaluator, so warnings name its caller
+            if warn_if_extrapolating(dmap, coords[axis][start:start + _BLOCK], axis=axis, stacklevel=5):
+                break
+    return counts
+
+
 def _eval_points(models, x, y):
     """Evaluate the surfaces ``models`` at the raw points (x, y) of one shape.
 
-    Columns are built once per distinct map on each axis, up to the highest
-    order any of its surfaces uses, over blocks of ``_BLOCK`` points.  Each
-    surface sums c * Vx[:, i] * Vy[:, j] in visit order with elementwise
-    steps, and T_k has the same bits however many columns are built, so a
-    value depends only on its own point and surface.  Warns once per axis map
-    that a point leaves.  Returns per surface a float for scalar input, else
-    an array of the input's shape.
+    Columns follow ``_column_plan`` (which also warns) and are built over
+    blocks of ``_BLOCK`` points.  Each surface sums c * Vx[:, i] * Vy[:, j]
+    in visit order with elementwise steps, and T_k has the same bits however
+    many columns are built, so a value depends only on its own point and
+    surface.  Returns per surface a float for scalar input, else an array of
+    the input's shape.
     """
     if np.shape(x) != np.shape(y):
         raise ValueError(f"x and y must share one shape, got {np.shape(x)} and {np.shape(y)}")
     coords = {"x": np.asarray(x, dtype=float).ravel(), "y": np.asarray(y, dtype=float).ravel()}
-    counts = {}  # (axis, map) -> column count, in order of first use
-    for model in models:
-        for axis, dmap, k in (("x", model.xmap, 0), ("y", model.ymap, 1)):
-            top = 1 + max((t[k] for t in model.coeffs), default=0)
-            counts[axis, dmap] = max(counts.get((axis, dmap), 1), top)
-    for axis, dmap in counts:
-        for start in range(0, coords[axis].size, _BLOCK):
-            # one frame deeper than a public evaluator, so warnings name its caller
-            if warn_if_extrapolating(dmap, coords[axis][start:start + _BLOCK], axis=axis, stacklevel=4):
-                break
+    counts = _column_plan(models, coords)
     m = coords["x"].size
     values = [np.zeros(m) for _ in models]
     scratch = np.empty(min(m, _BLOCK))
@@ -224,15 +219,21 @@ def eval_model_2d(model: ChebModel2D, x, y):
     return value
 
 
-def eval_grid_2d(model: ChebModel2D, x, y) -> np.ndarray:
-    """Evaluate the fitted surface on the tensor grid of raw 1-D axes.
+def _eval_grid(models, x, y):
+    """Evaluate the surfaces ``models`` on the tensor grid of raw 1-D axes x and y.
 
-    Returns the (len(y), len(x)) array whose entry [r, c] is P(x[c], y[r]),
-    the layout of ``eval_model_2d`` over ``np.meshgrid(x, y)``, from the same
-    Chebyshev columns.  The series is separable, so P = Vy . C^T . Vx^T: two
-    matrix products, O(n W H), where one sum per grid point costs O(n^2 W H).
-    Values agree with ``eval_model_2d`` to rounding.  The result is a fresh
-    array that the caller owns.
+    Returns per surface a fresh (len(y), len(x)) array holding P(x[c], y[r])
+    at [r, c], equal to ``_eval_points`` over ``np.meshgrid(x, y)`` to
+    rounding.  The series is separable, so with the columns of
+    ``_column_plan`` each surface is Vy . C^T . Vx^T over its own leading
+    columns: O(n W H), where one sum per grid point costs O(n^2 W H).
     """
-    vx, vy = _axis_columns(model, x, y)
-    return vy @ _coeff_array(model, vx.shape[-1], vy.shape[-1]).T @ vx.T
+    coords = {"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float)}
+    cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis]), n)
+            for (axis, dmap), n in _column_plan(models, coords).items()}
+    values = []
+    for model in models:
+        ni, nj = _reach(model)
+        vx, vy = cols["x", model.xmap][:, :ni], cols["y", model.ymap][:, :nj]
+        values.append(vy @ _coeff_array(model, ni, nj).T @ vx.T)
+    return tuple(values)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import MIN_NODE_GAP, DomainMap, _has_close_pair, auto_map
 from .fit1d import FitConfig, FitError
-from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _eval_points, cvb_approximate_2d, eval_grid_2d
+from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _eval_grid, _eval_points, cvb_approximate_2d
 
 SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
@@ -137,6 +137,9 @@ class WarpSpec:
         if self.width < 1 or self.height < 1:
             raise ValueError("output size must be positive")
         x0, x1, y0, y1 = (float(w) for w in self.window)
+        # pixel centers are x0 + (k + 0.5) * (x1 - x0) / width
+        if not np.all(np.isfinite([x0, x1, y0, y1, (x1 - x0) * self.width, (y1 - y0) * self.height])):
+            raise ValueError(f"world window {self.window} must have finite bounds and span")
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"degenerate world window {self.window}")
         object.__setattr__(self, "window", (x0, x1, y0, y1))
@@ -159,8 +162,7 @@ def warp_image(model: CalibrationModel, image: np.ndarray, out_spec: WarpSpec, f
     x0, x1, y0, y1 = out_spec.window
     wx = x0 + (np.arange(out_spec.width) + 0.5) * (x1 - x0) / out_spec.width
     wy = y0 + (np.arange(out_spec.height) + 0.5) * (y1 - y0) / out_spec.height
-    u = eval_grid_2d(model.inv_u, wx, wy)
-    v = eval_grid_2d(model.inv_v, wx, wy)
+    u, v = _eval_grid((model.inv_u, model.inv_v), wx, wy)
     # nearest neighbor: pixel (r, c) covers [c, c+1) x [r, r+1).  The bounds
     # test runs on the floats and the positions it rejects are zeroed before
     # any cast, so NaN, inf or huge extrapolated positions never become

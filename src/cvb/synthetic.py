@@ -18,9 +18,9 @@ from .basis import SampleSet1D
 from .rectify import Correspondence
 
 # Frozen acceptance fixture: 5 degrees of rotation, pincushion chosen so the
-# maximum radial displacement over a 640x480 frame is ~4 px (see
-# scripts/distortion_sweep.py; displacement peaks at the corners where it
-# equals pincushion * half-diagonal = 0.01 * 400 px).
+# maximum radial displacement over a 640x480 frame is 4 px (the closed form in
+# ``max_displacement_px``: at the corners r equals the half-diagonal R, so the
+# push |pincushion| * r^3 / R^2 is 0.01 * 400 px).
 DEFAULT_ROTATION = math.radians(5.0)
 DEFAULT_PINCUSHION = 0.01
 

@@ -128,6 +128,19 @@ class TestFit1D:
         last = lines[-1].split(",")
         assert float(last[4]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["interp", "approx"])
+    def test_trace_with_an_overflowing_residual_is_not_written(self, tmp_path, capsys, algorithm):
+        # the l2 residual of these data overflows to inf: no trace file, not a header-only one
+        data = tmp_path / "big.csv"
+        data.write_text("x,y\n-1,1e200\n0,-1e200\n1,1e200\n")
+        trace = tmp_path / "trace.csv"
+        code, _, stderr = run(capsys, "fit1d", "--input", str(data), "--algorithm", algorithm,
+                              "--trace", str(trace))
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: cannot serialize non-finite value")
+        assert not trace.exists()
+
     def test_duplicate_x_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n0,1\n0,2\n")
@@ -188,6 +201,16 @@ class TestFit2D:
         lines = trace.read_text().splitlines()
         assert lines[0] == "step,term,increment,max_abs_residual,l2_residual"
         assert lines[1].split(",")[1] == "0:0"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_trace_with_an_overflowing_residual_is_not_written(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("x,y,z\n-1,-1,1e200\n0,0,-1e200\n1,1,1e200\n1,-1,1e200\n")
+        trace = tmp_path / "trace.csv"
+        code, _, stderr = run(capsys, "fit2d", "--input", str(data), "--trace", str(trace))
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: cannot serialize non-finite value")
+        assert not trace.exists()
 
     def test_non_convergence_reported_without_strict(self, tmp_path, capsys):
         data = tmp_path / "r.csv"
@@ -388,6 +411,16 @@ class TestCalibrationPipeline:
         code, _, _ = run(capsys, "warp", "--model", str(tmp_path / "none.json"),
                          "--input", "x", "--output", "y", "--window", "0,1,0,1")
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("window", ["-inf,inf,0,1", "-1e308,1e308,0,1", "0,1,nan,1"])
+    def test_warp_rejects_window_that_is_not_finite(self, model_json, tmp_path, capsys, window):
+        src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
+        write_image(src, np.zeros((48, 64, 3), dtype=np.uint8))
+        code, stdout, stderr = run(capsys, "warp", "--model", str(model_json), "--input", str(src),
+                                   "--output", str(dst), f"--window={window}")
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith("error: world window") and "finite" in stderr
+        assert not dst.exists()
 
     def test_model_file_round_trip_byte_identical(self, model_json, tmp_path, capsys):
         from cvb.rectify import load_model, save_model

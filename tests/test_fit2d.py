@@ -14,8 +14,8 @@ from cvb.fit2d import (
     ChebModel2D,
     SampleSet2D,
     TermIndex2D,
+    _eval_grid,
     cvb_approximate_2d,
-    eval_grid_2d,
     eval_model_2d,
     revisit_set,
     term_matrix,
@@ -23,6 +23,12 @@ from cvb.fit2d import (
 )
 
 T = TermIndex2D
+
+
+def eval_grid_2d(model, x, y):
+    """One surface on the tensor grid of raw 1-D axes, through the evaluator the warp uses."""
+    (value,) = _eval_grid((model,), x, y)
+    return value
 
 
 def lstsq_oracle(samples, n):

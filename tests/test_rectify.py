@@ -231,6 +231,13 @@ class TestWarp:
         with pytest.raises(ValueError):
             WarpSpec(width=4, height=4, window=(0, 0, 0, 1))
 
+    @pytest.mark.parametrize("window", [(-math.inf, math.inf, -1, 1), (0, math.inf, -1, 1), (-1, 1, math.nan, 1),
+                                        (-1e308, 1e308, -1, 1), (-1, 1, -1e308, 1e308),
+                                        (-1e306, 1e306, -1, 1)])  # span finite, span x width not
+    def test_rejects_window_that_is_not_finite(self, window):
+        with pytest.raises(ValueError, match="finite"):
+            WarpSpec(width=640, height=480, window=window)
+
     def test_dot_centroids_land_on_world_grid(self, oracle_model):
         # distorted image of a dot pattern, rectified back to world coordinates
         w, h = ORACLE.image_size
@@ -277,7 +284,7 @@ def planted_warp(monkeypatch):
     """warp_image with source positions planted in place of the inverse surfaces.
 
     Returns ``warp(image, u, v, fill)``; the warp receives its own copies of u
-    and v, as it does from ``eval_grid_2d``.
+    and v, as it does from ``_eval_grid``.
     """
     import cvb.rectify
 
@@ -287,7 +294,7 @@ def planted_warp(monkeypatch):
 
     def warp(image, u, v, fill):
         planted = {id(sub["inv_u"]): u, id(sub["inv_v"]): v}
-        monkeypatch.setattr(cvb.rectify, "eval_grid_2d", lambda m, wx, wy: planted[id(m)].copy())
+        monkeypatch.setattr(cvb.rectify, "_eval_grid", lambda ms, wx, wy: tuple(planted[id(m)].copy() for m in ms))
         h, w = u.shape
         return warp_image(model, image, WarpSpec(w, h, (0.0, 1.0, 0.0, 1.0)), fill=fill)
 
@@ -629,3 +636,47 @@ def test_map_point_memory_is_linear_in_the_outputs_only():
     finally:
         tracemalloc.stop()
     assert peak <= X.nbytes + Y.nbytes + 4 * 2**20
+
+
+class TestWarpWarnings:
+    """warp_image warns as map_point does: once per axis map, naming its caller."""
+
+    def record(self, model, window):
+        image = np.zeros((480, 640), dtype=np.uint8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warp_image(model, image, WarpSpec(64, 48, window))
+        return caught
+
+    def test_shared_maps_warn_once_per_axis(self):
+        model = EVALUATOR_MODELS["calibrated"]
+        assert model.inv_u.xmap == model.inv_v.xmap and model.inv_u.ymap == model.inv_v.ymap
+        caught = self.record(model, (-2000.0, 2000.0, -900.0, 900.0))
+        assert [w.category for w in caught] == [ExtrapolationWarning] * 2
+        assert [str(w.message) for w in caught] == [
+            f"evaluation outside the fitted {axis} interval [{dmap.lo}, {dmap.hi}]"
+            for axis, dmap in (("x", model.inv_u.xmap), ("y", model.inv_u.ymap))
+        ]
+        assert [w.filename for w in caught] == [__file__] * 2
+
+    def test_window_inside_the_fit_does_not_warn(self):
+        assert self.record(EVALUATOR_MODELS["calibrated"], (-448.0, 448.0, -336.0, 336.0)) == []
+
+    def test_differing_maps_warn_once_per_map(self):
+        rng = np.random.default_rng(23)
+        frame_u, frame_v = DomainMap(-6.4, 646.4), DomainMap(-4.8, 484.8)
+        world_y = DomainMap(-250.0, 250.0)
+        model = loaded(random_surface(rng, 8, frame_u, frame_v), random_surface(rng, 8, frame_u, frame_v),
+                       random_surface(rng, 8, DomainMap(-330.0, 330.0), world_y),
+                       random_surface(rng, 8, DomainMap(-300.0, 360.0), world_y))
+        caught = self.record(model, (-400.0, 400.0, -200.0, 200.0))
+        assert [str(w.message) for w in caught] == [
+            f"evaluation outside the fitted x interval [{sub.xmap.lo}, {sub.xmap.hi}]"
+            for sub in (model.inv_u, model.inv_v)
+        ]
+        assert [w.filename for w in caught] == [__file__] * 2
+        # the window's right edge lies inside inv_v's x interval and outside inv_u's
+        caught = self.record(model, (-250.0, 350.0, -200.0, 200.0))
+        assert [str(w.message) for w in caught] == [
+            f"evaluation outside the fitted x interval [{model.inv_u.xmap.lo}, {model.inv_u.xmap.hi}]"
+        ]

@@ -30,3 +30,29 @@ def test_rectification_demo(tmp_path):
     held_out = re.search(r"held-out mapping error: max ([0-9.]+) mm", proc.stdout)
     assert held_out is not None, proc.stdout
     assert float(held_out.group(1)) <= 0.5
+
+
+def test_runge_experiment(tmp_path):
+    # more data makes the interpolation worse and the approximation better
+    proc = run_script("runge_experiment.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = ["truth"] + [f"{label}_{m}" for label in ("interp", "approx") for m in (5, 9)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.csv" for name in names)
+    err = {(label, int(m)): float(value)
+           for label, m, value in re.findall(r"(interp|approx) +m=(\d+): max \|P - runge\| = ([0-9.]+)", proc.stdout)}
+    assert len(err) == 4, proc.stdout
+    assert err["interp", 9] > err["interp", 5]
+    assert err["approx", 9] < err["approx", 5]
+
+
+def test_pathological_curves(tmp_path):
+    # on both data sets the approximation overshoots the data range less than the interpolation
+    proc = run_script("pathological_curves.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = [f"{data}_{kind}" for data in ("humped_flat", "noisy_line") for kind in ("points", "interp", "approx")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.csv" for name in names)
+    overshoot = {(data, label): float(value) for data, label, value in
+                 re.findall(r"(\w+) +(interp|approx): overshoot beyond data range = (-?[0-9.]+)", proc.stdout)}
+    assert len(overshoot) == 4, proc.stdout
+    for data in ("humped_flat", "noisy_line"):
+        assert overshoot[data, "approx"] < overshoot[data, "interp"]
