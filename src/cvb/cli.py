@@ -119,12 +119,21 @@ def cmd_gen(args) -> int:
 
 
 def _write_trace(path, report, n_coeffs=0):
-    """Per-step trace CSV; curve traces also carry coefficient snapshots."""
+    """Per-step trace CSV; curve traces also carry the coefficients after each step.
+
+    Approximation steps store only their increment, so their coefficients are
+    the running sum per term: the fit's own additions, in its order.
+    """
     columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"]
     columns += [f"a{j}" for j in range(n_coeffs)]
-    rows = [[step, entry.term if isinstance(entry.term, int) else f"{entry.term[0]}:{entry.term[1]}",
-             entry.increment, entry.max_abs_residual, entry.l2_residual, *(entry.coeffs or ())]
-            for step, entry in enumerate(report.trace, start=1)]
+    a = [0.0] * n_coeffs
+    rows = []
+    for step, entry in enumerate(report.trace, start=1):
+        if n_coeffs and entry.coeffs is None:
+            a[entry.term] += entry.increment
+        rows.append([step, entry.term if isinstance(entry.term, int) else f"{entry.term[0]}:{entry.term[1]}",
+                     entry.increment, entry.max_abs_residual, entry.l2_residual,
+                     *(a if entry.coeffs is None else entry.coeffs)])
     _write_csv(path, columns, rows)
 
 

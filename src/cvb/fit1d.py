@@ -66,7 +66,7 @@ class TraceStep:
     increment: float
     max_abs_residual: float
     l2_residual: float
-    coeffs: Optional[tuple] = None  # univariate coefficient snapshot
+    coeffs: Optional[tuple] = None  # coefficients after the step; interpolation only
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,30 @@ class FitReport:
     l2_residual: float
 
 
+def _l2(delta, max_abs) -> float:
+    """The l2 norm of delta, given max_abs = max|delta|.
+
+    sqrt(delta . delta) while max_abs lies in [1e-140, 1e140] (or is 0 or not
+    finite); outside that range the squares could overflow or underflow, so
+    delta is scaled by max_abs first.  ``_Projector.step`` inlines the
+    in-range test.
+    """
+    if 1e-140 <= max_abs <= 1e140 or max_abs == 0.0 or not math.isfinite(max_abs):
+        return math.sqrt(delta @ delta)
+    u = delta / max_abs
+    return max_abs * math.sqrt(u @ u)
+
+
 def _report(trace, a, converged, skipped, gamma) -> FitReport:
     """The one FitReport builder: final residuals fall back to the data's own."""
+    max_abs = trace[-1].max_abs_residual if trace else float(np.abs(gamma).max())
     return FitReport(
         trace=tuple(trace),
         terms_used=int(np.count_nonzero(a)),
         converged=converged,
         skipped=tuple(skipped),
-        max_abs_residual=trace[-1].max_abs_residual if trace else float(np.abs(gamma).max()),
-        l2_residual=trace[-1].l2_residual if trace else float(np.linalg.norm(gamma)),
+        max_abs_residual=max_abs,
+        l2_residual=trace[-1].l2_residual if trace else _l2(gamma, max_abs),
     )
 
 
@@ -140,9 +155,9 @@ class _Projector:
         self.a[where] += inc * weights
         delta -= inc * direction
         max_abs = float(np.abs(delta).max())
+        l2 = math.sqrt(delta @ delta) if 1e-140 <= max_abs <= 1e140 else _l2(delta, max_abs)
         self.trace.append(
-            TraceStep(term=label, kind=kind, increment=inc, max_abs_residual=max_abs,
-                      l2_residual=math.sqrt(delta @ delta),
+            TraceStep(term=label, kind=kind, increment=inc, max_abs_residual=max_abs, l2_residual=l2,
                       coeffs=tuple(self.a.tolist()) if self.snapshots else None)
         )
         return max_abs
@@ -184,13 +199,13 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
 
     ``schedule`` lists row positions of ``tau`` in visit order and
     ``revisits[t]`` the positions revisited after visiting t, already in
-    reverse preference order.  ``labels`` maps positions to trace labels;
-    when omitted the trace also carries coefficient snapshots (curve case).
-    Each step projects the error vector on tau_t and updates it in place.
+    reverse preference order; ``labels``, if given, maps them to trace labels.
+    Each step projects the error vector on tau_t and updates it in place; the
+    trace stores no coefficients (they are the running sum of the increments).
     Returns (coefficients, trace, converged).
     """
     norm2 = np.einsum("ij,ij->i", tau, tau)
-    fit = _Projector(gamma, tau.shape[0], snapshots=labels is None)
+    fit = _Projector(gamma, tau.shape[0], snapshots=False)
 
     def apply(t, kind):
         return fit.step(tau[t], norm2[t], t, 1.0, t if labels is None else labels[t], kind)

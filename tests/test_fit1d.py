@@ -99,7 +99,11 @@ class TestApproximateTrace:
         assert second.increment == pytest.approx(2.0, abs=1e-15)
         assert (third.term, third.kind) == (0, "revisit")
         assert third.increment == pytest.approx(0.0, abs=1e-15)
-        assert third.coeffs == pytest.approx([5 / 3, 2.0, 0.0], abs=1e-15)
+        # approximation steps carry no snapshots: the coefficients are the running increments
+        coeffs = [0.0, 0.0, 0.0]
+        for step in report.trace[:3]:
+            coeffs[step.term] += step.increment
+        assert coeffs == pytest.approx([5 / 3, 2.0, 0.0], abs=1e-15)
 
     def test_exit_state_matches_hand_trace(self):
         model, report = cvb_approximate(QUAD, FitConfig(epsilon=0.0, max_terms=3))
@@ -318,10 +322,15 @@ class TestIncrementalResidual:
 
     @staticmethod
     def assert_trace_matches_recompute(samples, n, report):
+        # interpolation steps store their coefficients; approximation steps
+        # are rebuilt from the increments, each added to its own term
         tau = cheb_columns(samples.x, n).T
         scale = max(1.0, float(np.abs(samples.y).max()))
+        a = np.zeros(n)
         for step in report.trace:
-            delta = samples.y - np.array(step.coeffs) @ tau
+            if step.coeffs is None:
+                a[step.term] += step.increment
+            delta = samples.y - np.array(step.coeffs if step.coeffs is not None else a) @ tau
             assert abs(step.max_abs_residual - np.abs(delta).max()) <= 1e-12 * scale
             assert abs(step.l2_residual - np.linalg.norm(delta)) <= 1e-12 * scale
 
@@ -363,3 +372,62 @@ class TestIncrementalResidual:
         _, report = cvb_approximate(samples, FitConfig(epsilon=0.0, max_terms=3))
         assert [(s.term, s.kind) for s in report.trace] == [(0, "visit")]
         assert report.converged and report.terms_used == 1
+
+
+class TestTraceShape:
+    """Interpolation steps carry their coefficients; approximation steps only their increments."""
+
+    def test_approximation_steps_carry_no_coefficients(self):
+        _, report = cvb_approximate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=15, extra_sweeps=2))
+        assert len(report.trace) == 3 * (15 + 15 * 14 // 2)
+        assert all(step.coeffs is None for step in report.trace)
+
+    def test_interpolation_steps_carry_the_coefficients(self):
+        _, report = cvb_interpolate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=15))
+        assert len(report.trace) == 15
+        assert all(step.coeffs is not None and len(step.coeffs) == 15 for step in report.trace)
+
+
+def scaled_l2(delta):
+    """Oracle l2 norm: scaled by the largest |delta|, summed exactly."""
+    scale = max(abs(float(d)) for d in delta)
+    return scale * math.sqrt(math.fsum((float(d) / scale) ** 2 for d in delta)) if scale else 0.0
+
+
+class TestL2ResidualRange:
+    """The l2 residual stays finite and accurate where delta . delta would overflow or underflow."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 2.0**-600, 1e200, 2.0**600],
+                             ids=["1e-200", "2^-600", "1e200", "2^600"])
+    @pytest.mark.parametrize("fit", [cvb_interpolate, cvb_approximate])
+    def test_every_step_matches_a_scaled_oracle(self, fit, scale):
+        samples = SampleSet1D(x=RUNGE_15.x, y=scale * RUNGE_15.y)
+        n = 9
+        _, report = fit(samples, FitConfig(epsilon=0.0, max_terms=n, extra_sweeps=2))
+        tau = cheb_columns(samples.x, n).T
+        a = np.zeros(n)
+        bound = 1e-12 * float(np.abs(samples.y).max())
+        for step in report.trace:
+            if step.coeffs is None:
+                a[step.term] += step.increment
+            delta = samples.y - np.array(step.coeffs if step.coeffs is not None else a) @ tau
+            assert 0.0 < step.l2_residual < math.inf
+            assert abs(step.l2_residual - scaled_l2(delta)) <= bound
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_empty_trace_reports_the_data(self, scale):
+        y = scale * RUNGE_15.y
+        samples = SampleSet1D(x=RUNGE_15.x, y=y)
+        _, report = cvb_approximate(samples, FitConfig(epsilon=float(np.abs(y).max()), max_terms=9))
+        assert report.trace == ()
+        assert report.l2_residual == pytest.approx(scaled_l2(y), rel=1e-15, abs=0.0)
+
+    def test_l2_is_bounded_by_max_abs_near_zero_residuals(self):
+        # at 4 Chebyshev zeros the fit reaches residuals near 1e-178, whose squares
+        # underflow: each l2 must still lie in [max_abs, 2 * max_abs]
+        x = cheb_zeros(4)
+        _, report = cvb_approximate(SampleSet1D(x=x, y=np.exp(x)),
+                                    FitConfig(epsilon=0.0, max_terms=7, extra_sweeps=2))
+        assert min(step.max_abs_residual for step in report.trace) < 1e-170
+        for step in report.trace:
+            assert step.max_abs_residual <= step.l2_residual <= 2.0 * step.max_abs_residual
