@@ -18,7 +18,6 @@ from .fit1d import FitConfig, FitError, cvb_approximate, cvb_interpolate, eval_m
 from .fit2d import SampleSet2D, cvb_approximate_2d
 from .ppm import read_image, write_image
 from .rectify import (
-    Correspondence,
     ModelParseError,
     WarpSpec,
     _fmt,
@@ -102,8 +101,7 @@ def cmd_gen(args) -> int:
     if args.kind not in GEN_KINDS:
         raise ValueError(f"unknown dataset kind {args.kind!r} (choose from {', '.join(GEN_KINDS)})")
     if args.kind == "correspondences":
-        pairs = gen_correspondences(DistortionParams())
-        rows = [(p.u, p.v, p.X, p.Y) for p in pairs]
+        rows = gen_correspondences(DistortionParams())
         _write_csv(args.out, ("u", "v", "X", "Y"), rows)
     else:
         if args.kind == "runge":
@@ -175,13 +173,8 @@ def cmd_fit2d(args) -> int:
     return EXIT_OK
 
 
-def _read_pairs(path):
-    data = _read_csv(path, ("u", "v", "X", "Y"))
-    return [Correspondence(u=r[0], v=r[1], X=r[2], Y=r[3]) for r in data]
-
-
 def cmd_calibrate(args) -> int:
-    pairs = _read_pairs(args.pairs)
+    pairs = _read_csv(args.pairs, ("u", "v", "X", "Y"))
     config = FitConfig(epsilon=args.epsilon, max_terms=args.degree_bound)
     inverse = None
     if args.inverse_epsilon is not None:

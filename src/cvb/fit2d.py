@@ -191,17 +191,20 @@ def _eval_points(models, x, y):
     m = coords["x"].size
     values = [np.zeros(m) for _ in models]
     scratch = np.empty(min(m, _BLOCK))
-    for start in range(0, m, _BLOCK):
-        stop = min(start + _BLOCK, m)
-        cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis][start:stop]), n)
-                for (axis, dmap), n in counts.items()}
-        term = scratch[: stop - start]
-        for model, value in zip(models, values):
-            vx, vy, out = cols["x", model.xmap], cols["y", model.ymap], value[start:stop]
-            for (i, j), c in model.coeffs.items():
-                np.multiply(vx[:, i], c, out=term)
-                term *= vy[:, j]
-                out += term
+    # far outside a fit, columns and sums leave the float range; callers
+    # refuse or fill the inf and NaN values, so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, _BLOCK):
+            stop = min(start + _BLOCK, m)
+            cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis][start:stop]), n)
+                    for (axis, dmap), n in counts.items()}
+            term = scratch[: stop - start]
+            for model, value in zip(models, values):
+                vx, vy, out = cols["x", model.xmap], cols["y", model.ymap], value[start:stop]
+                for (i, j), c in model.coeffs.items():
+                    np.multiply(vx[:, i], c, out=term)
+                    term *= vy[:, j]
+                    out += term
     if np.ndim(x) == 0:
         return tuple(float(value[0]) for value in values)
     return tuple(value.reshape(np.shape(x)) for value in values)
@@ -229,11 +232,12 @@ def _eval_grid(models, x, y):
     columns: O(n W H), where one sum per grid point costs O(n^2 W H).
     """
     coords = {"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float)}
-    cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis]), n)
-            for (axis, dmap), n in _column_plan(models, coords).items()}
+    counts = _column_plan(models, coords)
     values = []
-    for model in models:
-        ni, nj = _reach(model)
-        vx, vy = cols["x", model.xmap][:, :ni], cols["y", model.ymap][:, :nj]
-        values.append(vy @ _coeff_array(model, ni, nj).T @ vx.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _eval_points
+        cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis]), n) for (axis, dmap), n in counts.items()}
+        for model in models:
+            ni, nj = _reach(model)
+            vx, vy = cols["x", model.xmap][:, :ni], cols["y", model.ymap][:, :nj]
+            values.append(vy @ _coeff_array(model, ni, nj).T @ vx.T)
     return tuple(values)

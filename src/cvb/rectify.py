@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,21 +31,27 @@ class ModelVersionError(ModelParseError):
     """A calibration document declares an unsupported version."""
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """One key point: pixel position (u, v) and its world position (X, Y) in mm."""
-
+class _Row(NamedTuple):
     u: float
     v: float
     X: float
     Y: float
 
-    def __post_init__(self):
-        for name in ("u", "v", "X", "Y"):
-            value = float(getattr(self, name))
+
+class Correspondence(_Row):
+    """One key point: pixel position (u, v) and its world position (X, Y) in mm.
+
+    A ``NamedTuple`` row, so it unpacks and compares like ``(u, v, X, Y)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u, v, X, Y):
+        row = super().__new__(cls, float(u), float(v), float(X), float(Y))
+        for name, value in zip(cls._fields, row):
             if not np.isfinite(value):
                 raise ValueError(f"correspondence field {name} must be finite")
-            object.__setattr__(self, name, value)
+        return row
 
 
 @dataclass(frozen=True)
@@ -65,43 +71,39 @@ class CalibrationModel:
 
 
 def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = None) -> CalibrationModel:
-    """Fit the four calibration surfaces from point correspondences.
+    """Fit the four calibration surfaces from u,v,X,Y rows.
 
-    ``config`` drives the forward (pixel to world) fits; ``inverse_config``
-    the world-to-pixel fits, defaulting to ``config``.  Forward residual
-    targets are in world units, inverse ones in pixels.
+    ``pairs`` is anything ``np.asarray`` reads as an (m, 4) float table: a
+    list of ``Correspondence`` or plain tuples, or an array.  ``config``
+    drives the forward (pixel to world) fits; ``inverse_config`` the
+    world-to-pixel fits, defaulting to ``config``.  Forward residual targets
+    are in world units, inverse ones in pixels.
     """
-    pairs = list(pairs)
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 correspondences, got {len(pairs)}")
-    inverse_config = inverse_config or config
-    u = np.array([p.u for p in pairs])
-    v = np.array([p.v for p in pairs])
-    X = np.array([p.X for p in pairs])
-    Y = np.array([p.Y for p in pairs])
-    umap, vmap = auto_map(u), auto_map(v)
-    xmap, ymap = auto_map(X), auto_map(Y)
-    nu, nv = umap.forward(u), vmap.forward(v)
-    nx, ny = xmap.forward(X), ymap.forward(Y)
-    for a, b, what in ((nu, nv, "pixel (u, v)"), (nx, ny, "world (X, Y)")):
-        if _has_close_pair(a, b):
+    table = np.asarray(pairs, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 4:
+        raise ValueError(f"correspondences must be u,v,X,Y rows, got an array of shape {table.shape}")
+    if len(table) < 3:
+        raise ValueError(f"need at least 3 correspondences, got {len(table)}")
+    columns = table.T.copy()  # u, v, X, Y
+    maps = [auto_map(c) for c in columns]
+    normed = [m.forward(c) for m, c in zip(maps, columns)]
+    # (what, sub-fit names, coordinate columns, target columns, config)
+    directions = (("pixel (u, v)", ("fwd_x", "fwd_y"), (0, 1), (2, 3), config),
+                  ("world (X, Y)", ("inv_u", "inv_v"), (2, 3), (0, 1), inverse_config or config))
+    for what, _, (a, b), _, _ in directions:
+        if _has_close_pair(normed[a], normed[b]):
             raise ValueError(f"duplicate {what} pair: two normalized pairs lie within {MIN_NODE_GAP}")
 
-    jobs = {
-        "fwd_x": (nu, nv, X, umap, vmap, config),
-        "fwd_y": (nu, nv, Y, umap, vmap, config),
-        "inv_u": (nx, ny, u, xmap, ymap, inverse_config),
-        "inv_v": (nx, ny, v, xmap, ymap, inverse_config),
-    }
     models = {}
     stats = {}
-    for name, (sx, sy, sz, mx, my, cfg) in jobs.items():
-        samples = SampleSet2D(x=sx, y=sy, z=sz)
-        model, report = cvb_approximate_2d(samples, cfg, xmap=mx, ymap=my)
-        if not model.coeffs and np.abs(sz).max() > 0:
-            raise FitError(f"sub-fit {name} is degenerate: no usable terms")
-        models[name] = model
-        stats[name] = report
+    for _, names, (a, b), targets, cfg in directions:
+        for name, k in zip(names, targets):
+            samples = SampleSet2D(x=normed[a], y=normed[b], z=columns[k])
+            model, report = cvb_approximate_2d(samples, cfg, xmap=maps[a], ymap=maps[b])
+            if not model.coeffs and np.abs(columns[k]).max() > 0:
+                raise FitError(f"sub-fit {name} is degenerate: no usable terms")
+            models[name] = model
+            stats[name] = report
 
     meta = CalibrationMeta(epsilon=config.epsilon, degree_bound=config.max_terms, stats=stats)
     return CalibrationModel(meta=meta, **models)

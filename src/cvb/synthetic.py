@@ -152,13 +152,8 @@ def default_pattern(params: DistortionParams):
 
 def gen_correspondences(params: DistortionParams, pattern=None) -> list[Correspondence]:
     """Calibration correspondences for a world pattern seen through ``distort``."""
-    if pattern is None:
-        pattern = default_pattern(params)
-    pattern = list(pattern)
+    pattern = np.asarray(default_pattern(params) if pattern is None else list(pattern), dtype=float)
     if len(pattern) < 3:
         raise ValueError(f"pattern needs at least 3 points, got {len(pattern)}")
-    out = []
-    for X, Y in pattern:
-        u, v = distort(params, X, Y)
-        out.append(Correspondence(u=u, v=v, X=float(X), Y=float(Y)))
-    return out
+    X, Y = pattern.T
+    return [Correspondence(*row) for row in zip(*distort(params, X, Y), X, Y)]

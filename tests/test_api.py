@@ -1,4 +1,10 @@
-"""The public surface of the ``cvb`` package."""
+"""The public surface of the ``cvb`` package, and the names the benchmark reads."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 
 import cvb
 
@@ -56,3 +62,39 @@ def test_public_api_is_pinned():
     assert PUBLIC_API == sorted(PUBLIC_API)
     assert sorted(cvb.__all__) == PUBLIC_API
 
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_names():
+    """(module, name) for every ``from cvb... import name`` and ``cvb.name`` in perfbench/*.py."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "cvb":
+                names.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cvb":
+                names.add(("cvb", node.attr))
+    return sorted(names)
+
+
+def test_names_the_benchmark_imports_resolve():
+    # perfbench/ changes only with the benchmark, so a name it reads that src/
+    # drops would break the benchmark with no Tier-1 test failing
+    names = _perfbench_names()
+    assert ("cvb.rectify", "Correspondence") in names and ("cvb", "calibrate") in names
+    missing = [f"{module}.{name}" for module, name in names
+               if not (hasattr(importlib.import_module(module), name)  # an attribute, or a submodule
+                       or importlib.util.find_spec(f"{module}.{name}"))]
+    assert missing == []
+
+
+def test_calibrate_takes_the_benchmark_correspondence_list():
+    # the rows perfbench's rectify_inputs builds, against the same (m, 4) table
+    params = cvb.DistortionParams()
+    X, Y = (g.ravel() for g in np.meshgrid(np.linspace(-500, 500, 7), np.linspace(-380, 380, 5)))
+    u, v = cvb.distort(params, X, Y)
+    config = cvb.FitConfig(epsilon=0.5, max_terms=6)
+    rows = cvb.calibrate([cvb.Correspondence(*row) for row in zip(u, v, X, Y)], config)
+    table = cvb.calibrate(np.column_stack((u, v, X, Y)), config)
+    assert cvb.save_model(rows) == cvb.save_model(table)

@@ -595,7 +595,7 @@ def overflowing_model(tmp_path):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning", "ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
 class TestNonFiniteOutput:
     def test_apply(self, overflowing_model, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -613,6 +613,39 @@ class TestNonFiniteOutput:
         code, stdout, stderr = run(capsys, "eval", "--model", str(overflowing_model), "--truth", str(truth))
         assert code == EXIT_VALIDATION and stdout == ""
         assert stderr.startswith("error: cannot serialize non-finite value")
+
+
+@pytest.fixture
+def default_model(tmp_path, capsys):
+    """The default calibration: ``gen correspondences`` then ``calibrate``."""
+    pairs, model = tmp_path / "pairs.csv", tmp_path / "model.json"
+    assert run(capsys, "gen", "correspondences", "--out", str(pairs))[0] == EXIT_OK
+    assert run(capsys, "calibrate", "--pairs", str(pairs), "--out", str(model))[0] == EXIT_OK
+    return model
+
+
+@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
+class TestFarOutsideTheFit:
+    """Columns and sums that leave the float range raise no numpy warning (Tier-1 makes one an error)."""
+
+    def test_warp_window_near_the_float_limit_takes_the_fill(self, default_model, tmp_path, capsys):
+        src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
+        write_image(src, np.full((4, 4, 3), 200, dtype=np.uint8))
+        code, stdout, stderr = run(capsys, "warp", "--model", str(default_model), "--input", str(src),
+                                   "--output", str(dst), "--window=1e308,1.2e308,0,1", "--width", "4",
+                                   "--height", "4", "--fill", "7")
+        assert code == EXIT_OK and stdout == "" and "RuntimeWarning" not in stderr
+        assert (read_image(dst) == 7).all()
+
+    def test_apply_to_a_point_beyond_the_float_range_of_the_columns(self, default_model, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,v\n1e150,5\n")
+        out = tmp_path / "mapped.csv"
+        code, stdout, stderr = run(capsys, "apply", "--model", str(default_model), "--points", str(pts),
+                                   "--out", str(out))
+        assert code == EXIT_VALIDATION and stdout == ""
+        assert stderr.startswith("error: cannot serialize non-finite value")
+        assert not out.exists()
 
 
 class TestParserEscapes:

@@ -123,6 +123,89 @@ class TestCalibrateBasics:
         assert m.inv_u.xmap == m.inv_v.xmap and m.inv_u.ymap == m.inv_v.ymap
 
 
+def oracle_table():
+    """The ``gen_correspondences`` rows as an (m, 4) u,v,X,Y array."""
+    return np.array(gen_correspondences(ORACLE))
+
+
+class TestCalibrationInput:
+    """``calibrate`` reads any u,v,X,Y rows through one (m, 4) float table."""
+
+    @pytest.mark.parametrize("form", ["array", "tuples", "correspondences", "keyword correspondences"])
+    def test_every_row_form_gives_one_model(self, form):
+        table = oracle_table()
+        pairs = {
+            "array": table,
+            "tuples": [tuple(row) for row in table.tolist()],
+            "correspondences": [Correspondence(*row) for row in table],
+            "keyword correspondences": [Correspondence(u=u, v=v, X=X, Y=Y) for u, v, X, Y in table],
+        }[form]
+        expected = save_model(calibrate(table, FWD_CONFIG, inverse_config=INV_CONFIG))
+        assert save_model(calibrate(pairs, FWD_CONFIG, inverse_config=INV_CONFIG)) == expected
+
+    def test_caller_table_is_left_alone(self):
+        table = oracle_table()
+        before = table.copy()
+        calibrate(table, FWD_CONFIG, inverse_config=INV_CONFIG)
+        assert np.array_equal(table, before)
+
+    @pytest.mark.parametrize("pairs, match", [
+        (np.zeros((5, 3)), r"u,v,X,Y rows, got an array of shape \(5, 3\)"),
+        (np.arange(8.0), r"u,v,X,Y rows, got an array of shape \(8,\)"),
+        ([], r"u,v,X,Y rows, got an array of shape \(0,\)"),
+        (np.empty((0, 4)), "need at least 3 correspondences, got 0"),
+        ([(0, 0, 0, 0), (1, 1, 1, 1)], "need at least 3 correspondences, got 2"),
+    ], ids=["three columns", "1-D", "empty list", "no rows", "two rows"])
+    def test_malformed_tables_are_named(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            calibrate(pairs, FitConfig(max_terms=2))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("column", range(4))
+    def test_non_finite_entry_in_a_raw_table_is_refused(self, column, value):
+        table = oracle_table()
+        table[3, column] = value
+        with pytest.raises(ValueError, match="finite"):
+            calibrate(table, FWD_CONFIG)
+
+    @pytest.mark.parametrize("build", ["_make", "_replace"])
+    def test_rows_that_skip_the_field_check_are_refused(self, build):
+        # _make and _replace build the tuple without Correspondence.__new__
+        pairs = [Correspondence(*row) for row in oracle_table()]
+        pairs[5] = (Correspondence._make((1.0, 2.0, float("nan"), 4.0)) if build == "_make"
+                    else pairs[5]._replace(Y=float("inf")))
+        with pytest.raises(ValueError, match="finite"):
+            calibrate(pairs, FWD_CONFIG)
+
+
+class TestCorrespondenceRow:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["u", "v", "X", "Y"])
+    def test_names_the_non_finite_field(self, field, value):
+        fields = {"u": 1.0, "v": 2.0, "X": 3.0, "Y": 4.0, field: value}
+        with pytest.raises(ValueError, match=f"correspondence field {field} must be finite"):
+            Correspondence(**fields)
+        with pytest.raises(ValueError, match=f"correspondence field {field} must be finite"):
+            Correspondence(*fields.values())
+
+    def test_keyword_and_positional_construction_agree(self):
+        p = Correspondence(1.5, 2, 3, 4)
+        q = Correspondence(Y=4, X=3, v=2, u=1.5)
+        assert p == q == (1.5, 2.0, 3.0, 4.0)
+        assert (p.u, p.v, p.X, p.Y) == tuple(p) and Correspondence._fields == ("u", "v", "X", "Y")
+
+    def test_fields_become_floats(self):
+        p = Correspondence(np.float32(0.5), np.int64(2), 3, True)
+        assert all(type(value) is float for value in p) and p == (0.5, 2.0, 3.0, 1.0)
+
+    def test_is_an_immutable_row(self):
+        p = Correspondence(1, 2, 3, 4)
+        u, v, X, Y = p
+        assert (u, v, X, Y) == (1.0, 2.0, 3.0, 4.0)
+        with pytest.raises(AttributeError):
+            p.u = 5.0
+
+
 class TestCalibrationStats:
     def test_stats_are_fit_reports_ending_at_the_last_step(self, oracle_model):
         for name, report in oracle_model.meta.stats.items():

@@ -168,6 +168,16 @@ class TestCorrespondences:
         b = gen_correspondences(DistortionParams())
         assert a == b
 
+    @pytest.mark.parametrize("pattern", [None, [(0, 0), (10.5, 10), (20, -20), (-123.456, 77.7)]],
+                             ids=["default", "custom"])
+    def test_rows_equal_one_distort_call_per_point(self, pattern):
+        params = DistortionParams()
+        points = default_pattern(params) if pattern is None else pattern
+        expected = [[float(w).hex() for w in (*distort(params, X, Y), X, Y)] for X, Y in points]
+        pairs = gen_correspondences(params, pattern)
+        assert [[w.hex() for w in p] for p in pairs] == expected
+        assert all(type(value) is float for p in pairs for value in p)
+
     def test_custom_pattern_and_minimum_size(self):
         params = DistortionParams()
         pairs = gen_correspondences(params, pattern=[(0, 0), (10, 10), (20, -20)])
