@@ -38,7 +38,11 @@ GEN_KINDS = ("runge", "humped-flat", "noisy-line", "correspondences")
 
 
 def _read_csv(path, columns):
-    """Strict CSV reader: exact header, one float per declared column."""
+    """Strict CSV reader: exact header, one float per declared column.
+
+    Returns the rows as an array and the file line of each row (blank lines
+    are skipped, so a row's index is not its line).
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -47,7 +51,7 @@ def _read_csv(path, columns):
                 raise ValueError(f"{path}: empty file")
             if [h.strip() for h in header] != list(columns):
                 raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {','.join(header)!r}")
-            rows = []
+            rows, lines = [], []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -60,11 +64,12 @@ def _read_csv(path, columns):
                 if not all(np.isfinite(values)):
                     raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
                 rows.append(values)
+                lines.append(lineno)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows)
+    return np.array(rows), lines
 
 
 def _write_csv(path, columns, rows):
@@ -80,10 +85,10 @@ def _write_csv(path, columns, rows):
 def _load_samples_1d(path):
     # the dense-sampling output (header x,P(x)) is accepted back as input
     try:
-        data = _read_csv(path, ("x", "y"))
+        data, _ = _read_csv(path, ("x", "y"))
     except ValueError as header_error:
         try:
-            data = _read_csv(path, ("x", "P(x)"))
+            data, _ = _read_csv(path, ("x", "P(x)"))
         except ValueError:
             raise header_error from None
     xmap = auto_map(data[:, 0])
@@ -156,7 +161,7 @@ def cmd_fit1d(args) -> int:
 
 
 def cmd_fit2d(args) -> int:
-    data = _read_csv(args.input, ("x", "y", "z"))
+    data, _ = _read_csv(args.input, ("x", "y", "z"))
     xmap, ymap = auto_map(data[:, 0]), auto_map(data[:, 1])
     samples = SampleSet2D(x=xmap.forward(data[:, 0]), y=ymap.forward(data[:, 1]), z=data[:, 2])
     max_terms = args.max_terms if args.max_terms is not None else 8
@@ -174,7 +179,7 @@ def cmd_fit2d(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    pairs = _read_csv(args.pairs, ("u", "v", "X", "Y"))
+    pairs, _ = _read_csv(args.pairs, ("u", "v", "X", "Y"))
     config = FitConfig(epsilon=args.epsilon, max_terms=args.degree_bound)
     inverse = None
     if args.inverse_epsilon is not None:
@@ -195,10 +200,23 @@ def _load_model_file(path):
         return load_model(fh.read())
 
 
+def _map_rows(model, path, data, lines):
+    """map_point over the u,v columns of a CSV, refusing a point mapped beyond the float range."""
+    X, Y = map_point(model, data[:, 0], data[:, 1])
+    bad = np.flatnonzero(~(np.isfinite(X) & np.isfinite(Y)))
+    if bad.size:
+        k = bad[0]
+        name, value = ("X", X[k]) if not np.isfinite(X[k]) else ("Y", Y[k])
+        raise ValueError(f"cannot serialize non-finite value {name}={float(value)!r}: the point "
+                         f"u={float(data[k, 0])!r}, v={float(data[k, 1])!r} at {path}:{lines[k]} "
+                         f"maps beyond the float range")
+    return X, Y
+
+
 def cmd_apply(args) -> int:
     model = _load_model_file(args.model)
-    data = _read_csv(args.points, ("u", "v"))
-    X, Y = map_point(model, data[:, 0], data[:, 1])
+    data, lines = _read_csv(args.points, ("u", "v"))
+    X, Y = _map_rows(model, args.points, data, lines)
     _write_csv(args.out, ("u", "v", "X", "Y"), np.column_stack((data, X, Y)))
     print(len(data))
     return EXIT_OK
@@ -236,12 +254,12 @@ def cmd_warp(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model_file(args.model)
-    u, v, X, Y = _read_csv(args.truth, ("u", "v", "X", "Y")).T
-    Xm, Ym = map_point(model, u, v)
-    errors = (Xm - X) ** 2 + (Ym - Y) ** 2
+    data, lines = _read_csv(args.truth, ("u", "v", "X", "Y"))
+    Xm, Ym = _map_rows(model, args.truth, data, lines)
+    errors = (Xm - data[:, 2]) ** 2 + (Ym - data[:, 3]) ** 2
     print(f"max_err_mm={_fmt(np.sqrt(errors.max()))}")
     print(f"rms_err_mm={_fmt(np.sqrt(errors.mean()))}")
-    print(f"n_points={len(u)}")
+    print(f"n_points={len(data)}")
     return EXIT_OK
 
 

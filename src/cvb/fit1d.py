@@ -90,13 +90,15 @@ def _l2(delta, max_abs) -> float:
 
     sqrt(delta . delta) while max_abs lies in [1e-140, 1e140] (or is 0 or not
     finite); outside that range the squares could overflow or underflow, so
-    delta is scaled by max_abs first.  ``_Projector.step`` inlines the
-    in-range test.
+    delta is first scaled by 2^-e, with max_abs = f * 2^e and f in [0.5, 1).
+    A power of two scales exactly, so the norm of y * 2^k is exactly 2^k
+    times the norm of y.  ``_Projector.step`` inlines the in-range test.
     """
     if 1e-140 <= max_abs <= 1e140 or max_abs == 0.0 or not math.isfinite(max_abs):
         return math.sqrt(delta @ delta)
-    u = delta / max_abs
-    return max_abs * math.sqrt(u @ u)
+    e = math.frexp(max_abs)[1]
+    u = np.ldexp(delta, -e)
+    return math.ldexp(math.sqrt(u @ u), e)
 
 
 def _report(trace, a, converged, skipped, gamma) -> FitReport:

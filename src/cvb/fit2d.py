@@ -222,22 +222,24 @@ def eval_model_2d(model: ChebModel2D, x, y):
     return value
 
 
-def _eval_grid(models, x, y):
-    """Evaluate the surfaces ``models`` on the tensor grid of raw 1-D axes x and y.
+def _grid_factors(models, x, y):
+    """The two factors of each surface ``models`` on the tensor grid of raw 1-D axes x and y.
 
-    Returns per surface a fresh (len(y), len(x)) array holding P(x[c], y[r])
-    at [r, c], equal to ``_eval_points`` over ``np.meshgrid(x, y)`` to
-    rounding.  The series is separable, so with the columns of
-    ``_column_plan`` each surface is Vy . C^T . Vx^T over its own leading
-    columns: O(n W H), where one sum per grid point costs O(n^2 W H).
+    The series is separable, so with the columns of ``_column_plan`` (which
+    also warns) each surface is L . R, with L = Vy . C^T (len(y) x ni) and
+    R = Vx^T (ni x len(x)) over its own leading columns.  L @ R holds
+    P(x[c], y[r]) at [r, c], equal to ``_eval_points`` over
+    ``np.meshgrid(x, y)`` to rounding, for O(n W H) where one sum per grid
+    point costs O(n^2 W H); L[rows] @ R is just those rows of the grid.
+    Returns per surface the pair (L, R).
     """
     coords = {"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float)}
     counts = _column_plan(models, coords)
-    values = []
+    factors = []
     with np.errstate(over="ignore", invalid="ignore"):  # as in _eval_points
         cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis]), n) for (axis, dmap), n in counts.items()}
         for model in models:
             ni, nj = _reach(model)
             vx, vy = cols["x", model.xmap][:, :ni], cols["y", model.ymap][:, :nj]
-            values.append(vy @ _coeff_array(model, ni, nj).T @ vx.T)
-    return tuple(values)
+            factors.append((vy @ _coeff_array(model, ni, nj).T, vx.T))
+    return tuple(factors)

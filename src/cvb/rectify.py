@@ -17,10 +17,15 @@ import numpy as np
 
 from .basis import MIN_NODE_GAP, DomainMap, _has_close_pair, auto_map
 from .fit1d import FitConfig, FitError
-from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _eval_grid, _eval_points, cvb_approximate_2d
+from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _eval_points, _grid_factors, cvb_approximate_2d
 
 SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
+
+# Output rows per band of the warp: a band's source positions, index and
+# mask stay in cache, and memory beyond the output raster does not grow
+# with the image.
+_BAND = 32
 
 
 class ModelParseError(ValueError):
@@ -164,23 +169,37 @@ def warp_image(model: CalibrationModel, image: np.ndarray, out_spec: WarpSpec, f
     x0, x1, y0, y1 = out_spec.window
     wx = x0 + (np.arange(out_spec.width) + 0.5) * (x1 - x0) / out_spec.width
     wy = y0 + (np.arange(out_spec.height) + 0.5) * (y1 - y0) / out_spec.height
-    u, v = _eval_grid((model.inv_u, model.inv_v), wx, wy)
-    # nearest neighbor: pixel (r, c) covers [c, c+1) x [r, r+1).  The bounds
-    # test runs on the floats and the positions it rejects are zeroed before
-    # any cast, so NaN, inf or huge extrapolated positions never become
-    # indices.  u and v belong to this call: the flat index floor(v) * in_w +
-    # floor(u) is formed in v and cast into u's memory, since every large
-    # temporary costs page faults.
-    invalid = ~((u >= 0) & (u < in_w) & (v >= 0) & (v < in_h))
-    u[invalid] = 0.0
-    v[invalid] = 0.0
-    np.floor(v, out=v)
-    v *= in_w
-    v += np.floor(u, out=u)
-    index = u.view(np.int64)
-    index[...] = v
-    out = image.reshape((in_h * in_w,) + image.shape[2:]).take(index, axis=0)
-    out[invalid] = pixel
+    (lu, ru), (lv, rv) = _grid_factors((model.inv_u, model.inv_v), wx, wy)
+    flat = image.reshape((in_h * in_w,) + image.shape[2:])
+    out = np.empty((out_spec.height, out_spec.width) + image.shape[2:], dtype=image.dtype)
+    # one pair of band buffers for the whole call: a band's source positions
+    # are written into them and its flat index is formed in place
+    u_band = np.empty((min(_BAND, out_spec.height), out_spec.width))
+    v_band = np.empty_like(u_band)
+    for start in range(0, out_spec.height, _BAND):
+        band = slice(start, start + _BAND)
+        rows = out[band]
+        u, v = u_band[:len(rows)], v_band[:len(rows)]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _grid_factors
+            np.matmul(lu[band], ru, out=u)
+            np.matmul(lv[band], rv, out=v)
+        # nearest neighbor: pixel (r, c) covers [c, c+1) x [r, r+1).  The
+        # bounds test runs on the floats and the positions it rejects are
+        # zeroed before any cast, so NaN, inf or huge extrapolated positions
+        # never become indices.  The flat index floor(v) * in_w + floor(u)
+        # is formed in v and cast into u's memory.
+        invalid = ~((u >= 0) & (u < in_w) & (v >= 0) & (v < in_h))
+        u[invalid] = 0.0
+        v[invalid] = 0.0
+        np.floor(v, out=v)
+        v *= in_w
+        v += np.floor(u, out=u)
+        index = u.view(np.int64)
+        index[...] = v
+        # every index lies in [0, in_h * in_w) by the test above, so "clip"
+        # clips nothing; it only spares take a buffered copy of the rows
+        flat.take(index, axis=0, out=rows, mode="clip")
+        rows[invalid] = pixel
     return out
 
 

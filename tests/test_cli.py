@@ -647,6 +647,23 @@ class TestFarOutsideTheFit:
         assert stderr.startswith("error: cannot serialize non-finite value")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["apply", "eval"])
+    def test_point_mapped_beyond_the_float_range_is_named_by_its_line(self, default_model, tmp_path, capsys,
+                                                                       command):
+        # the blank line makes the bad point's line differ from its row index
+        data, out = tmp_path / "data.csv", tmp_path / "mapped.csv"
+        if command == "apply":
+            data.write_text("u,v\n320,240\n\n1e150,5\n330,250\n")
+            argv = ("apply", "--model", str(default_model), "--points", str(data), "--out", str(out))
+        else:
+            data.write_text("u,v,X,Y\n320,240,0,0\n\n1e150,5,0,0\n330,250,0,0\n")
+            argv = ("eval", "--model", str(default_model), "--truth", str(data))
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == (f"error: cannot serialize non-finite value X=-inf: the point u=1e+150, v=5.0 "
+                          f"at {data}:4 maps beyond the float range\n")
+        assert not out.exists()
+
 
 class TestParserEscapes:
     """Inputs that used to escape the parsers as tracebacks."""
@@ -762,6 +779,24 @@ class TestOutOfMemory:
         assert stderr.startswith("error: not enough memory for this warp request (Unable to allocate ")
         assert "(200000, 200000)" in stderr and "Traceback" not in stderr
         assert not out.exists()
+
+    def test_warp_to_a_large_raster_in_bands(self, tmp_path):
+        # 8000 x 8000 float64 source positions for u and v alone would need
+        # the whole 1 GiB; the bands need a few MiB beyond the 64 MB output
+        model, src, out = tmp_path / "model.json", tmp_path / "in.pgm", tmp_path / "out.pgm"
+        subs = ",\n".join(f'  "{name}": {{"xmap": [0, 10], "ymap": [0, 10], "terms": [[0, 0, 1.0]]}}'
+                           for name in ("fwd_x", "fwd_y", "inv_u", "inv_v"))
+        model.write_text(f'{{\n  "version": 1,\n  "epsilon": 0.5,\n  "degree_bound": 2,\n{subs}\n}}\n')
+        write_image(src, np.arange(6, dtype=np.uint8).reshape(2, 3) * 40)
+        code, stdout, stderr = self.cvb("warp", "--model", str(model), "--input", str(src), "--output", str(out),
+                                        "--window=1,9,1,9", "--width", "8000", "--height", "8000")
+        assert (code, stdout, stderr) == (EXIT_OK, "", "")
+        header = b"P5\n8000 8000\n255\n"
+        assert out.stat().st_size == len(header) + 8000 * 8000
+        with open(out, "rb") as fh:
+            assert fh.read(len(header)) == header
+            # every output pixel maps back to source (u, v) = (1, 1): row 1, column 1
+            assert set(fh.read(1 << 20)) == {160}
 
     def test_calibrate_with_a_huge_degree_bound(self, tmp_path, capsys):
         pairs, model = tmp_path / "pairs.csv", tmp_path / "model.json"

@@ -422,6 +422,22 @@ class TestL2ResidualRange:
         assert report.trace == ()
         assert report.l2_residual == pytest.approx(scaled_l2(y), rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("k", [480, -480])
+    @pytest.mark.parametrize("fit", [cvb_interpolate, cvb_approximate])
+    def test_power_of_two_scaling_is_exact(self, fit, k):
+        # y * 2^k puts every residual outside [1e-140, 1e140], y itself inside;
+        # scaling by a power of two is exact, so the l2 column must be too
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            y = rng.uniform(-1.0, 1.0, RUNGE_15.m)
+            config = FitConfig(epsilon=0.0, max_terms=9, extra_sweeps=1)
+            _, base = fit(SampleSet1D(x=RUNGE_15.x, y=y), config)
+            _, scaled = fit(SampleSet1D(x=RUNGE_15.x, y=np.ldexp(y, k)), config)
+            assert all(not 1e-140 <= step.max_abs_residual <= 1e140 for step in scaled.trace)
+            assert [step.l2_residual for step in scaled.trace] == [math.ldexp(step.l2_residual, k)
+                                                                   for step in base.trace]
+            assert scaled.l2_residual == math.ldexp(base.l2_residual, k)
+
     def test_l2_is_bounded_by_max_abs_near_zero_residuals(self):
         # at 4 Chebyshev zeros the fit reaches residuals near 1e-178, whose squares
         # underflow: each l2 must still lie in [max_abs, 2 * max_abs]

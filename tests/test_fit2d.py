@@ -14,7 +14,7 @@ from cvb.fit2d import (
     ChebModel2D,
     SampleSet2D,
     TermIndex2D,
-    _eval_grid,
+    _grid_factors,
     cvb_approximate_2d,
     eval_model_2d,
     revisit_set,
@@ -26,9 +26,9 @@ T = TermIndex2D
 
 
 def eval_grid_2d(model, x, y):
-    """One surface on the tensor grid of raw 1-D axes, through the evaluator the warp uses."""
-    (value,) = _eval_grid((model,), x, y)
-    return value
+    """One surface on the tensor grid of raw 1-D axes, from the factors the warp uses."""
+    ((left, right),) = _grid_factors((model,), x, y)
+    return left @ right
 
 
 def lstsq_oracle(samples, n):

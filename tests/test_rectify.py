@@ -12,8 +12,9 @@ from scipy import ndimage
 
 from cvb.basis import DomainMap, ExtrapolationWarning
 from cvb.fit1d import FitConfig, FitReport
-from cvb.fit2d import _BLOCK, ChebModel2D, TermIndex2D, eval_model_2d, visit_order
+from cvb.fit2d import _BLOCK, ChebModel2D, TermIndex2D, _grid_factors, eval_model_2d, visit_order
 from cvb.rectify import (
+    _BAND,
     CalibrationMeta,
     CalibrationModel,
     Correspondence,
@@ -362,12 +363,29 @@ def mask_gather(image, u, v, fill):
     return out
 
 
+class PlantedRows:
+    """A right grid factor that hands back the rows of the left one: ``left @ PlantedRows()`` copies left.
+
+    numpy hands ``matmul`` with it to ``__array_ufunc__``, so planted
+    positions reach the band loop bit for bit; a numeric identity matrix
+    would turn a planted inf into NaN in every other column (inf * 0).
+    """
+
+    def __array_ufunc__(self, ufunc, method, left, right, out=None):
+        assert ufunc is np.matmul and method == "__call__" and right is self
+        if out is None:
+            return left.copy()
+        out[0][...] = left
+        return out[0]
+
+
 @pytest.fixture
 def planted_warp(monkeypatch):
     """warp_image with source positions planted in place of the inverse surfaces.
 
-    Returns ``warp(image, u, v, fill)``; the warp receives its own copies of u
-    and v, as it does from ``_eval_grid``.
+    Returns ``warp(image, u, v, fill)``.  The planted grids stand in for the
+    left factors of ``_grid_factors``, so the warp's own band loop copies
+    their rows band by band into its buffers and gathers them.
     """
     import cvb.rectify
 
@@ -377,23 +395,29 @@ def planted_warp(monkeypatch):
 
     def warp(image, u, v, fill):
         planted = {id(sub["inv_u"]): u, id(sub["inv_v"]): v}
-        monkeypatch.setattr(cvb.rectify, "_eval_grid", lambda ms, wx, wy: tuple(planted[id(m)].copy() for m in ms))
+        monkeypatch.setattr(cvb.rectify, "_grid_factors",
+                            lambda ms, wx, wy: tuple((planted[id(m)], PlantedRows()) for m in ms))
         h, w = u.shape
         return warp_image(model, image, WarpSpec(w, h, (0.0, 1.0, 0.0, 1.0)), fill=fill)
 
     return warp
 
 
-def planted_positions(in_h, in_w, shape, seed):
-    """Random in-raster positions with every awkward value planted on each axis."""
+def planted_positions(in_h, in_w, shape, seed, rows=(0,)):
+    """Random in-raster positions with every awkward value planted on each axis.
+
+    The awkward values are laid out row-major from the start of each row in
+    ``rows``.
+    """
     rng = np.random.default_rng(seed)
     u = rng.uniform(0, in_w, shape)
     v = rng.uniform(0, in_h, shape)
     awkward = [np.nan, np.inf, -np.inf, -0.5, 1e300, -1e300, -0.0, 0.0]
-    for k, value in enumerate(awkward + [in_w, in_w - 1e-9]):
-        u.flat[3 * k] = value
-    for k, value in enumerate(awkward + [in_h, in_h - 1e-9]):
-        v.flat[3 * k + 1] = value
+    for start in (row * shape[1] for row in rows):
+        for k, value in enumerate(awkward + [in_w, in_w - 1e-9]):
+            u.flat[start + 3 * k] = value
+        for k, value in enumerate(awkward + [in_h, in_h - 1e-9]):
+            v.flat[start + 3 * k + 1] = value
     u.flat[-1], v.flat[-1] = in_w, in_h
     return u, v
 
@@ -406,6 +430,26 @@ class TestPlantedWarp:
         rng = np.random.default_rng(seed)
         image = rng.integers(0, 256, size=(7, 11) + ((channels,) if channels else ()), dtype=np.uint8)
         u, v = planted_positions(7, 11, (6, 9), seed)
+        expect = mask_gather(image, u, v, fill)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = planted_warp(image, u, v, fill)
+        assert got.dtype == image.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("channels, fill", [(None, 7), (3, (1, 2, 3))])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_awkward_positions_on_both_sides_of_band_boundaries(self, planted_warp, channels, fill, seed):
+        # the planted values of each start row spill into the next three rows
+        # of 9 pixels, so those from rows _BAND - 2 and 2 * _BAND - 2 straddle a
+        # band boundary, and the last band is short
+        height = 2 * _BAND + 5
+        assert height % _BAND
+        rng = np.random.default_rng(seed)
+        image = rng.integers(0, 256, size=(7, 11) + ((channels,) if channels else ()), dtype=np.uint8)
+        u, v = planted_positions(7, 11, (height, 9), seed, rows=(0, _BAND - 2, 2 * _BAND - 2, height - 4))
+        missed = ~((u >= 0) & (u < 11) & (v >= 0) & (v < 7))
+        assert all(missed[row].any() for row in (_BAND - 1, _BAND, 2 * _BAND - 1, 2 * _BAND))
         expect = mask_gather(image, u, v, fill)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -719,6 +763,55 @@ def test_map_point_memory_is_linear_in_the_outputs_only():
     finally:
         tracemalloc.stop()
     assert peak <= X.nbytes + Y.nbytes + 4 * 2**20
+
+
+def warp_axes(spec):
+    """World coordinates of the output pixel centers, as ``warp_image`` lays them out."""
+    x0, x1, y0, y1 = spec.window
+    wx = x0 + (np.arange(spec.width) + 0.5) * (x1 - x0) / spec.width
+    wy = y0 + (np.arange(spec.height) + 0.5) * (y1 - y0) / spec.height
+    return wx, wy
+
+
+@pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
+@pytest.mark.parametrize("name", EVALUATOR_MODELS)
+@pytest.mark.parametrize("window", [(-300.0, 300.0, -200.0, 200.0), (-2000.0, 2000.0, -900.0, 900.0)],
+                         ids=["inside", "beyond"])
+@pytest.mark.parametrize("height", [1, _BAND - 1, _BAND, _BAND + 1, 257])
+def test_band_rows_match_the_whole_grid_to_a_few_ulps(name, window, height):
+    """The warp's bands of grid rows agree with the whole grid L @ R.
+
+    Not bit for bit: BLAS may round a row of a matrix product differently
+    with another row count in the call (up to 2 ulps of |L| @ |R| on these
+    windows, while 480 rows by 640 agree exactly), so the bound is a few ulps
+    of |L| @ |R|, the magnitude the products sum, not of their possibly
+    cancelling result.
+    """
+    model = EVALUATOR_MODELS[name]
+    wx, wy = warp_axes(WarpSpec(333, height, window))
+    for left, right in _grid_factors((model.inv_u, model.inv_v), wx, wy):
+        whole = left @ right
+        bands = np.vstack([left[start:start + _BAND] @ right for start in range(0, height, _BAND)])
+        assert bands.shape == whole.shape == (height, 333)
+        assert np.all(np.abs(bands - whole) <= 4 * np.spacing(np.abs(left) @ np.abs(right)))
+
+
+def test_warp_memory_beyond_the_output_is_a_few_bands():
+    """warp_image holds the output raster plus per-band positions, not full-raster temporaries.
+
+    Whole-raster u, v, mask and index arrays would hold about 5.9 MiB at
+    640 x 480; the RGB output itself is 0.88 MiB.
+    """
+    model = EVALUATOR_MODELS["calibrated"]
+    image = np.random.default_rng(2).integers(0, 256, size=(480, 640, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = warp_image(model, image, WarpSpec(640, 480, (-448.0, 448.0, -336.0, 336.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (480, 640, 3)
+    assert peak < 2.5 * 2**20
 
 
 class TestWarpWarnings:
