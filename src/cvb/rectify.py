@@ -23,8 +23,8 @@ SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
 
 # Output rows per band of the warp: a band's source positions, index and
-# mask stay in cache, and memory beyond the output raster does not grow
-# with the image.
+# mask stay in cache, and memory beyond the output raster is a few bands'
+# worth, not full-raster temporaries.
 _BAND = 32
 
 
