@@ -46,7 +46,6 @@ from .rectify import (
     calibrate,
     load_model,
     map_point,
-    map_world,
     save_model,
     warp_image,
 )

@@ -41,9 +41,6 @@ class DomainMap:
         # Grouped so that forward(lo) == -1.0 and forward(hi) == +1.0 exactly.
         return ((x - self.lo) + (x - self.hi)) / (self.hi - self.lo)
 
-    def backward(self, t):
-        return (self.lo * (1.0 - t) + self.hi * (1.0 + t)) / 2.0
-
     def contains(self, x):
         pad = 1e-12 * (self.hi - self.lo)
         return (x >= self.lo - pad) & (x <= self.hi + pad)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
 
 from .basis import SampleSet1D, auto_map
-from .fit1d import FitConfig, FitError, cvb_approximate, cvb_interpolate, eval_model_1d
+from .fit1d import FitConfig, FitError, _scale_exponent, cvb_approximate, cvb_interpolate, eval_model_1d
 from .fit2d import SampleSet2D, cvb_approximate_2d
 from .ppm import read_image, write_image
 from .rectify import (
@@ -83,23 +84,15 @@ def _write_csv(path, columns, rows):
 
 
 def _load_samples_1d(path):
-    # the dense-sampling output (header x,P(x)) is accepted back as input
-    try:
-        data, _ = _read_csv(path, ("x", "y"))
-    except ValueError as header_error:
-        try:
-            data, _ = _read_csv(path, ("x", "P(x)"))
-        except ValueError:
-            raise header_error from None
+    data, _ = _read_csv(path, ("x", "y"))
     xmap = auto_map(data[:, 0])
     return SampleSet1D(x=xmap.forward(data[:, 0]), y=data[:, 1]), xmap
 
 
-def _fit_1d(args, samples, xmap):
-    max_terms = args.max_terms if args.max_terms is not None else samples.m
-    config = FitConfig(epsilon=args.epsilon, max_terms=max_terms, extra_sweeps=args.extra_sweeps)
-    fit = cvb_interpolate if args.algorithm == "interp" else cvb_approximate
-    return fit(samples, config, xmap=xmap)
+def _fit_config(args, default_terms):
+    """The FitConfig of fit1d's and fit2d's shared fit flags."""
+    max_terms = args.max_terms if args.max_terms is not None else default_terms
+    return FitConfig(epsilon=args.epsilon, max_terms=max_terms, extra_sweeps=args.extra_sweeps)
 
 
 def cmd_gen(args) -> int:
@@ -142,7 +135,8 @@ def _write_trace(path, report, n_coeffs=0):
 
 def cmd_fit1d(args) -> int:
     samples, xmap = _load_samples_1d(args.input)
-    model, report = _fit_1d(args, samples, xmap)
+    fit = cvb_interpolate if args.algorithm == "interp" else cvb_approximate
+    model, report = fit(samples, _fit_config(args, samples.m), xmap=xmap)
     for coeff in model.coeffs:
         print(_fmt(coeff))
     if args.trace:
@@ -164,9 +158,7 @@ def cmd_fit2d(args) -> int:
     data, _ = _read_csv(args.input, ("x", "y", "z"))
     xmap, ymap = auto_map(data[:, 0]), auto_map(data[:, 1])
     samples = SampleSet2D(x=xmap.forward(data[:, 0]), y=ymap.forward(data[:, 1]), z=data[:, 2])
-    max_terms = args.max_terms if args.max_terms is not None else 8
-    config = FitConfig(epsilon=args.epsilon, max_terms=max_terms, extra_sweeps=args.extra_sweeps)
-    model, report = cvb_approximate_2d(samples, config, xmap=xmap, ymap=ymap)
+    model, report = cvb_approximate_2d(samples, _fit_config(args, 8), xmap=xmap, ymap=ymap)
     if args.trace:
         _write_trace(args.trace, report)
     for term, coeff in model.coeffs.items():
@@ -200,6 +192,11 @@ def _load_model_file(path):
         return load_model(fh.read())
 
 
+def _point(path, data, lines, k):
+    """Row k of a u,v CSV, by its values and its file line."""
+    return f"the point u={float(data[k, 0])!r}, v={float(data[k, 1])!r} at {path}:{lines[k]}"
+
+
 def _map_rows(model, path, data, lines):
     """map_point over the u,v columns of a CSV, refusing a point mapped beyond the float range."""
     X, Y = map_point(model, data[:, 0], data[:, 1])
@@ -207,9 +204,8 @@ def _map_rows(model, path, data, lines):
     if bad.size:
         k = bad[0]
         name, value = ("X", X[k]) if not np.isfinite(X[k]) else ("Y", Y[k])
-        raise ValueError(f"cannot serialize non-finite value {name}={float(value)!r}: the point "
-                         f"u={float(data[k, 0])!r}, v={float(data[k, 1])!r} at {path}:{lines[k]} "
-                         f"maps beyond the float range")
+        raise ValueError(f"cannot serialize non-finite value {name}={float(value)!r}: "
+                         f"{_point(path, data, lines, k)} maps beyond the float range")
     return X, Y
 
 
@@ -256,9 +252,19 @@ def cmd_eval(args) -> int:
     model = _load_model_file(args.model)
     data, lines = _read_csv(args.truth, ("u", "v", "X", "Y"))
     Xm, Ym = _map_rows(model, args.truth, data, lines)
-    errors = (Xm - data[:, 2]) ** 2 + (Ym - data[:, 3]) ** 2
-    print(f"max_err_mm={_fmt(np.sqrt(errors.max()))}")
-    print(f"rms_err_mm={_fmt(np.sqrt(errors.mean()))}")
+    # the finite differences are scaled by 2^-e before they are squared, as
+    # fit1d._l2 scales, so no square leaves the float range
+    with np.errstate(over="ignore"):  # a difference or distance beyond it is refused below
+        diff = np.stack((Xm - data[:, 2], Ym - data[:, 3]))
+        e = _scale_exponent(float(np.abs(diff[np.isfinite(diff)]).max(initial=0.0)))
+        squares = (np.ldexp(diff, -e) ** 2).sum(axis=0)
+        dist = np.ldexp(np.sqrt(squares), e)
+    bad = np.flatnonzero(~np.isfinite(dist))
+    if bad.size:
+        raise ValueError(f"the mapping error of {_point(args.truth, data, lines, bad[0])} "
+                         f"lies beyond the float range")
+    print(f"max_err_mm={_fmt(dist.max())}")
+    print(f"rms_err_mm={_fmt(math.ldexp(math.sqrt(squares.mean()), e))}")
     print(f"n_points={len(data)}")
     return EXIT_OK
 

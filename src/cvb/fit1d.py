@@ -85,19 +85,23 @@ class FitReport:
     l2_residual: float
 
 
-def _l2(delta, max_abs) -> float:
-    """The l2 norm of delta, given max_abs = max|delta|.
+def _scale_exponent(max_abs) -> int:
+    """The e by which a vector with max_abs = max|value| is scaled, as 2^-e, before it is squared.
 
-    sqrt(delta . delta) while max_abs lies in [1e-140, 1e140] (or is 0 or not
-    finite); outside that range the squares could overflow or underflow, so
-    delta is first scaled by 2^-e, with max_abs = f * 2^e and f in [0.5, 1).
-    A power of two scales exactly, so the norm of y * 2^k is exactly 2^k
-    times the norm of y.  ``_Projector.step`` inlines the in-range test.
+    0 while max_abs lies in [1e-140, 1e140] (or is 0 or not finite), where
+    no square overflows or underflows; otherwise max_abs = f * 2^e with f in
+    [0.5, 1).  A power of two scales exactly, so the norm of y * 2^k is
+    exactly 2^k times the norm of y.
     """
     if 1e-140 <= max_abs <= 1e140 or max_abs == 0.0 or not math.isfinite(max_abs):
-        return math.sqrt(delta @ delta)
-    e = math.frexp(max_abs)[1]
-    u = np.ldexp(delta, -e)
+        return 0
+    return math.frexp(max_abs)[1]
+
+
+def _l2(delta, max_abs) -> float:
+    """The l2 norm of delta, given max_abs = max|delta|, scaled as ``_scale_exponent`` says."""
+    e = _scale_exponent(max_abs)
+    u = np.ldexp(delta, -e) if e else delta
     return math.ldexp(math.sqrt(u @ u), e)
 
 
@@ -157,10 +161,9 @@ class _Projector:
         self.a[where] += inc * weights
         delta -= inc * direction
         max_abs = float(np.abs(delta).max())
-        l2 = math.sqrt(delta @ delta) if 1e-140 <= max_abs <= 1e140 else _l2(delta, max_abs)
         self.trace.append(
-            TraceStep(term=label, kind=kind, increment=inc, max_abs_residual=max_abs, l2_residual=l2,
-                      coeffs=tuple(self.a.tolist()) if self.snapshots else None)
+            TraceStep(term=label, kind=kind, increment=inc, max_abs_residual=max_abs,
+                      l2_residual=_l2(delta, max_abs), coeffs=tuple(self.a.tolist()) if self.snapshots else None)
         )
         return max_abs
 

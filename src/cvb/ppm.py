@@ -5,37 +5,33 @@ Images are numpy uint8 arrays: (h, w) for grayscale, (h, w, 3) for color.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 PLAIN_MAGICS = (b"P2", b"P3")
 # A plain raster body is decimal digits separated by whitespace, nothing else.
 PLAIN_BODY_BYTES = b"0123456789 \t\n\r\v\f"
+# One header token, after any whitespace and "#" comments (a comment runs to
+# the end of its line), and the one whitespace byte that may end it.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)\s?")
 
 
-def _header_tokens(data: bytes, count: int):
-    """First ``count`` whitespace-separated header tokens, skipping comments.
+def _header(data: bytes):
+    """The magic, width, height and maxval tokens, and the offset of the raster.
 
-    Returns (tokens, offset just past the single whitespace byte that
-    terminates the last token).
+    The magic is checked before a short header is called truncated.
     """
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise ValueError("truncated image header")
-        tokens.append(data[start:pos])
-        pos += 1  # exactly one whitespace byte ends the final header token
-    return tokens, pos
+    tokens, offset = [], 0
+    while len(tokens) < 4 and (match := _HEADER_TOKEN.match(data, offset)):
+        tokens.append(match[1])
+        offset = match.end()
+    if tokens and tokens[0] not in MAGIC_CHANNELS:
+        raise ValueError(f"unsupported image magic {tokens[0]!r} (want P2/P3/P5/P6)")
+    if len(tokens) < 4:
+        raise ValueError("truncated image header")
+    return tokens, offset
 
 
 def read_image(path) -> np.ndarray:
@@ -45,15 +41,12 @@ def read_image(path) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    (magic,), _ = _header_tokens(data, 1)
-    if magic not in MAGIC_CHANNELS:
-        raise ValueError(f"unsupported image magic {magic!r} (want P2/P3/P5/P6)")
+    (magic, *values), offset = _header(data)
     channels = MAGIC_CHANNELS[magic]
-    tokens, offset = _header_tokens(data, 4)
     # the plain body's rule: decimal digits only, so no sign and no "1_0"
-    if not all(t.isdigit() for t in tokens[1:]):
-        raise ValueError(f"image header values must be decimal digits, got {b' '.join(tokens[1:])!r}")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    if not all(t.isdigit() for t in values):
+        raise ValueError(f"image header values must be decimal digits, got {b' '.join(values)!r}")
+    width, height, maxval = (int(t) for t in values)
     if width < 1 or height < 1:
         raise ValueError(f"bad image dimensions {width}x{height}")
     if not 0 < maxval <= 255:

@@ -81,9 +81,13 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
     ``pairs`` is anything ``np.asarray`` reads as an (m, 4) float table: a
     list of ``Correspondence`` or plain tuples, or an array.  ``config``
     drives the forward (pixel to world) fits; ``inverse_config`` the
-    world-to-pixel fits, defaulting to ``config``.  Forward residual targets
-    are in world units, inverse ones in pixels.
+    world-to-pixel fits, defaulting to ``config``; both must give the same
+    ``max_terms``, the calibration's one degree bound.  Forward residual
+    targets are in world units, inverse ones in pixels.
     """
+    if inverse_config is not None and inverse_config.max_terms != config.max_terms:
+        raise ValueError(f"inverse_config.max_terms={inverse_config.max_terms} differs from "
+                         f"config.max_terms={config.max_terms}: a calibration has one degree bound")
     table = np.asarray(pairs, dtype=float)
     if table.ndim != 2 or table.shape[1] != 4:
         raise ValueError(f"correspondences must be u,v,X,Y rows, got an array of shape {table.shape}")
@@ -121,11 +125,6 @@ def map_point(model: CalibrationModel, u: float, v: float):
     the bits of ``eval_model_2d`` and one extrapolation warning per axis map.
     """
     return _eval_points((model.fwd_x, model.fwd_y), u, v)
-
-
-def map_world(model: CalibrationModel, X: float, Y: float):
-    """World (X, Y) back to pixel (u, v) through the inverse fits, as ``map_point`` does."""
-    return _eval_points((model.inv_u, model.inv_v), X, Y)
 
 
 @dataclass(frozen=True)

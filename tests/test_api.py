@@ -45,7 +45,6 @@ PUBLIC_API = [
     "gen_runge",
     "load_model",
     "map_point",
-    "map_world",
     "max_displacement_px",
     "orthogonalize",
     "revisit_set",

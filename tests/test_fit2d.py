@@ -25,6 +25,11 @@ from cvb.fit2d import (
 T = TermIndex2D
 
 
+def backward(dmap, t):
+    """Oracle: raw coordinates of basis coordinates t, the inverse of ``dmap.forward``."""
+    return (dmap.lo * (1.0 - t) + dmap.hi * (1.0 + t)) / 2.0
+
+
 def eval_grid_2d(model, x, y):
     """One surface on the tensor grid of raw 1-D axes, from the factors the warp uses."""
     ((left, right),) = _grid_factors((model,), x, y)
@@ -364,7 +369,7 @@ class TestEvalModel2D:
         coeffs = {t: rng.uniform(-5, 5) for t in visit_order(n)}
         model = ChebModel2D(coeffs=coeffs, xmap=DomainMap(-40.0, 25.0), ymap=DomainMap(3.0, 9.0), degree_bound=n)
         tx, ty = rng.uniform(-1.2, 1.2, size=(2,) + (shape or ()))
-        x, y = model.xmap.backward(tx), model.ymap.backward(ty)
+        x, y = backward(model.xmap, tx), backward(model.ymap, ty)
         if shape is None:
             x, y = float(x), float(y)
         elif shape == ():
@@ -433,8 +438,8 @@ class TestSparseSupport:
 
     def axes(self, model):
         # reaching 20% beyond the fitted interval on both axes
-        x = model.xmap.backward(np.linspace(-1.2, 1.2, 23))
-        y = model.ymap.backward(np.linspace(-1.2, 1.2, 17))
+        x = backward(model.xmap, np.linspace(-1.2, 1.2, 23))
+        y = backward(model.ymap, np.linspace(-1.2, 1.2, 17))
         return x, y
 
     def test_points_match_dense_oracle(self, name):
@@ -460,8 +465,8 @@ class TestSparseSupport:
     def test_batch_equals_one_call_per_point_bit_for_bit(self, name):
         model = SPARSE_MODELS[name]
         rng = np.random.default_rng(9)
-        x = model.xmap.backward(rng.uniform(-1.2, 1.2, 40))
-        y = model.ymap.backward(rng.uniform(-1.2, 1.2, 40))
+        x = backward(model.xmap, rng.uniform(-1.2, 1.2, 40))
+        y = backward(model.ymap, rng.uniform(-1.2, 1.2, 40))
         batch = eval_model_2d(model, x, y)
         single = np.array([eval_model_2d(model, float(a), float(b)) for a, b in zip(x, y)])
         assert batch.tobytes() == single.tobytes()

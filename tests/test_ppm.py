@@ -4,9 +4,43 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cvb.ppm import read_image, write_image
+from cvb.ppm import MAGIC_CHANNELS, _header, read_image, write_image
+
+
+def header_tokens(data: bytes, count: int):
+    """Oracle: the byte loop that scanned headers before the one-regex scan.
+
+    Returns the first ``count`` whitespace-separated tokens, skipping
+    comments, and the offset just past the single whitespace byte that
+    terminates the last token (one past the end at EOF).
+    """
+    tokens = []
+    pos = 0
+    while len(tokens) < count:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if pos == start:
+            raise ValueError("truncated image header")
+        tokens.append(data[start:pos])
+        pos += 1
+    return tokens, pos
+
+
+def oracle_header(data: bytes):
+    """The magic alone first, so a bad magic is named before a short header."""
+    (magic,), _ = header_tokens(data, 1)
+    if magic not in MAGIC_CHANNELS:
+        raise ValueError(f"unsupported image magic {magic!r} (want P2/P3/P5/P6)")
+    return header_tokens(data, 4)
 
 
 @pytest.fixture
@@ -85,6 +119,13 @@ def test_rejects_unknown_magic(tmp_path):
         read_image(path)
 
 
+def test_rejects_zero_dimensions(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n0 0\n255\n")
+    with pytest.raises(ValueError, match="bad image dimensions 0x0"):
+        read_image(path)
+
+
 def test_rejects_sixteen_bit(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P2\n1 1\n65535\n1000\n")
@@ -146,6 +187,41 @@ def test_plain_parse_agrees_with_per_token_int(tmp_path_factory, values, seps, z
 def test_rejects_wrong_dtype():
     with pytest.raises(ValueError):
         write_image("/tmp/never-written.ppm", np.zeros((2, 2), dtype=np.float64))
+
+
+def test_rejects_two_channels(tmp_path):
+    path = tmp_path / "img.ppm"
+    with pytest.raises(ValueError, match=r"image must be \(h, w\) or \(h, w, 3\), got shape \(2, 2, 2\)"):
+        write_image(path, np.zeros((2, 2, 2), dtype=np.uint8))
+    assert not path.exists()
+
+
+HEADER_BYTES = st.sampled_from([bytes([b]) for b in b" \t\n\r\x0b\x0c#0123456789P\x00\xff"])
+
+
+def _outcome(scan, data):
+    try:
+        return scan(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(start=st.sampled_from([b"", b"P2", b"P3 ", b"P5\n", b"P6#", b"P7 "]),
+       rest=st.lists(HEADER_BYTES, max_size=40).map(b"".join))
+@example(start=b"P5", rest=b" 1 2 3")  # the last token ends at EOF
+@example(start=b"P6", rest=b"\n#c\r1\x0b2\x0c# x\n 3 \xff")  # a comment ends at CR or LF
+@example(start=b"P5", rest=b" 1 2 #c")  # a comment runs to EOF
+def test_header_scan_agrees_with_the_byte_loop(start, rest):
+    data = start + rest
+    got, expect = _outcome(_header, data), _outcome(oracle_header, data)
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        (tokens, offset), (oracle_tokens, oracle_offset) = got, expect
+        assert tokens == oracle_tokens
+        # the loop steps one past the end when the last token ends at EOF
+        assert offset == min(oracle_offset, len(data))
 
 
 @pytest.mark.parametrize("magic", [b"P2", b"P5"])

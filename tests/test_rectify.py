@@ -11,8 +11,8 @@ from numpy.polynomial import chebyshev as C
 from scipy import ndimage
 
 from cvb.basis import DomainMap, ExtrapolationWarning
-from cvb.fit1d import FitConfig, FitReport
-from cvb.fit2d import _BLOCK, ChebModel2D, TermIndex2D, _grid_factors, eval_model_2d, visit_order
+from cvb.fit1d import FitConfig, FitError, FitReport
+from cvb.fit2d import _BLOCK, ChebModel2D, TermIndex2D, _eval_points, _grid_factors, eval_model_2d, visit_order
 from cvb.rectify import (
     _BAND,
     CalibrationMeta,
@@ -24,7 +24,6 @@ from cvb.rectify import (
     calibrate,
     load_model,
     map_point,
-    map_world,
     save_model,
     warp_image,
 )
@@ -178,6 +177,18 @@ class TestCalibrationInput:
         with pytest.raises(ValueError, match="finite"):
             calibrate(pairs, FWD_CONFIG)
 
+    def test_inverse_degree_bound_must_match(self):
+        # the document holds one degree bound, so two are refused before any fit
+        with pytest.raises(ValueError, match=r"inverse_config.max_terms=6 differs from config.max_terms=8"):
+            calibrate(oracle_table(), FitConfig(epsilon=0.5, max_terms=8),
+                      inverse_config=FitConfig(epsilon=0.25, max_terms=6))
+
+    def test_sub_fit_with_no_usable_terms_is_refused(self):
+        # with the constant term alone, a zero-mean X target takes an increment of exactly 0
+        pairs = [(u, v, (-1.0) ** (u + v), 4.0 * u + v) for u in range(4) for v in range(4)]
+        with pytest.raises(FitError, match="sub-fit fwd_x is degenerate: no usable terms"):
+            calibrate(pairs, FitConfig(epsilon=0.0, max_terms=1))
+
 
 class TestCorrespondenceRow:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -254,7 +265,8 @@ class TestOracleAccuracy:
         for X in np.linspace(-0.7 * half_x, 0.7 * half_x, 8):
             for Y in np.linspace(-0.7 * half_y, 0.7 * half_y, 8):
                 u, v = distort(ORACLE, X, Y)
-                ub, vb = map_world(oracle_model, *map_point(oracle_model, u, v))
+                Xf, Yf = map_point(oracle_model, u, v)
+                ub, vb = eval_model_2d(oracle_model.inv_u, Xf, Yf), eval_model_2d(oracle_model.inv_v, Xf, Yf)
                 assert math.hypot(ub - u, vb - v) <= bound
 
 
@@ -478,6 +490,15 @@ class TestSerialization:
         again = save_model(load_model(doc))
         assert doc == again
 
+    def test_round_trip_of_a_sub_model_with_no_terms(self):
+        # X is 0 everywhere, so fwd_x meets epsilon=0 before its first step
+        pairs = [(u, v, 0.0, 4.0 * u + v) for u in range(4) for v in range(4)]
+        model = calibrate(pairs, FitConfig(epsilon=0.0, max_terms=3))
+        assert model.fwd_x.coeffs == {} and model.fwd_y.coeffs
+        doc = save_model(model)
+        assert doc.count('"terms": []') == 1
+        assert save_model(load_model(doc)) == doc
+
     def test_round_trip_preserves_coefficients_bit_exact(self, oracle_model):
         loaded = load_model(save_model(oracle_model))
         for name in ("fwd_x", "fwd_y", "inv_u", "inv_v"):
@@ -513,7 +534,7 @@ class TestSerialization:
         )
         model = load_model(doc)
         assert map_point(model, 3.0, 4.0) == (7.5, -2.5)
-        assert map_world(model, 5.0, 5.0) == (1.0, 2.0)
+        assert (eval_model_2d(model.inv_u, 5.0, 5.0), eval_model_2d(model.inv_v, 5.0, 5.0)) == (1.0, 2.0)
 
     def test_duplicate_term_rejected(self):
         sub = '{"xmap": [0, 1], "ymap": [0, 1], "terms": [[0, 0, 1.0], [0, 0, 2.0]]}'
@@ -560,9 +581,9 @@ class TestSerialization:
         assert save_model(loaded) == doc
 
     def test_save_rejects_sub_fits_of_another_degree_bound(self):
-        pairs = grid_pairs(lambda u, v: (u, v), np.linspace(0, 30, 4), np.linspace(0, 20, 5))
-        model = calibrate(pairs, FitConfig(epsilon=1e-9, max_terms=4),
-                          inverse_config=FitConfig(epsilon=1e-9, max_terms=5))
+        # calibrate refuses two bounds up front; a model assembled by hand can still hold them
+        four, five = (ChebModel2D({TermIndex2D(0, 0): 1.0}, degree_bound=n) for n in (4, 5))
+        model = CalibrationModel(four, four, five, five, CalibrationMeta(epsilon=1e-9, degree_bound=4))
         with pytest.raises(ValueError, match="degree bound"):
             save_model(model)
 
@@ -648,6 +669,11 @@ EVALUATOR_MODELS = evaluator_models()
 SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2]
 
 
+def inverse_map(model, X, Y):
+    """World (X, Y) to pixel (u, v): the inverse pair through the evaluator ``map_point`` uses."""
+    return _eval_points((model.inv_u, model.inv_v), X, Y)
+
+
 def frame_points(size, seed=3):
     """Pixel and world points reaching 5% beyond the calibrated frame."""
     rng = np.random.default_rng(seed)
@@ -659,7 +685,7 @@ def frame_points(size, seed=3):
 @pytest.mark.filterwarnings("ignore::cvb.basis.ExtrapolationWarning")
 @pytest.mark.parametrize("name", EVALUATOR_MODELS)
 class TestSharedPointEvaluator:
-    """map_point and map_world evaluate both surfaces in one blocked pass.
+    """map_point and inverse_map evaluate both surfaces in one blocked pass.
 
     Each value must keep the bits of its own per-surface call, whatever the
     block boundaries, the other surface or the batch size.
@@ -670,7 +696,7 @@ class TestSharedPointEvaluator:
         model = EVALUATOR_MODELS[name]
         u, v, X, Y = frame_points(size)
         for mapped, subs, a, b in ((map_point(model, u, v), (model.fwd_x, model.fwd_y), u, v),
-                                   (map_world(model, X, Y), (model.inv_u, model.inv_v), X, Y)):
+                                   (inverse_map(model, X, Y), (model.inv_u, model.inv_v), X, Y)):
             for got, sub in zip(mapped, subs):
                 assert got.shape == (size,)
                 assert got.tobytes() == eval_model_2d(sub, a, b).tobytes()
@@ -683,7 +709,7 @@ class TestSharedPointEvaluator:
         u, v, X, Y = frame_points(size)
         edges = [k for k in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, size - 1) if k < size]
         picks = sorted(set(edges) | set(np.random.default_rng(5).integers(0, size, 30).tolist()))
-        for mapping, a, b in ((map_point, u, v), (map_world, X, Y)):
+        for mapping, a, b in ((map_point, u, v), (inverse_map, X, Y)):
             batch = np.column_stack(mapping(model, a, b))[picks]
             single = np.array([mapping(model, float(a[k]), float(b[k])) for k in picks])
             assert batch.tobytes() == single.tobytes()
@@ -698,7 +724,7 @@ class TestSharedPointEvaluator:
 
     def test_scalar_returns_floats(self, name):
         model = EVALUATOR_MODELS[name]
-        for mapping, a, b in ((map_point, 320.0, 240.0), (map_world, 10.0, -20.0)):
+        for mapping, a, b in ((map_point, 320.0, 240.0), (inverse_map, 10.0, -20.0)):
             got = mapping(model, a, b)
             assert [type(value) for value in got] == [float, float]
             assert np.array(got).tobytes() == np.array(mapping(model, np.array([a]), np.array([b]))).tobytes()
@@ -706,7 +732,7 @@ class TestSharedPointEvaluator:
     @pytest.mark.parametrize("a, b", [(np.zeros(3), np.zeros(4)), (0.5, np.zeros(2)), (np.zeros((2, 3)), np.zeros(6))])
     def test_shape_mismatch_raises(self, name, a, b):
         model = EVALUATOR_MODELS[name]
-        for mapping in (map_point, map_world):
+        for mapping in (map_point, inverse_map):
             with pytest.raises(ValueError, match="share one shape"):
                 mapping(model, a, b)
 
