@@ -10,7 +10,7 @@ from cvb.ppm import MAGIC_CHANNELS, _header, read_image, write_image
 
 
 def header_tokens(data: bytes, count: int):
-    """Oracle: the byte loop that scanned headers before the one-regex scan.
+    """Oracle: a byte-at-a-time header scan.
 
     Returns the first ``count`` whitespace-separated tokens, skipping
     comments, and the offset just past the single whitespace byte that
