@@ -134,6 +134,8 @@ def _write_trace(path, report, n_coeffs=0):
 
 
 def cmd_fit1d(args) -> int:
+    if args.sample and int(args.sample[0]) < 2:
+        raise ValueError("--sample needs at least 2 points")
     samples, xmap = _load_samples_1d(args.input)
     fit = cvb_interpolate if args.algorithm == "interp" else cvb_approximate
     model, report = fit(samples, _fit_config(args, samples.m), xmap=xmap)
@@ -142,11 +144,8 @@ def cmd_fit1d(args) -> int:
     if args.trace:
         _write_trace(args.trace, report, model.n)
     if args.sample:
-        count, out_path = int(args.sample[0]), args.sample[1]
-        if count < 2:
-            raise ValueError("--sample needs at least 2 points")
-        xs = np.linspace(xmap.lo, xmap.hi, count)
-        _write_csv(out_path, ("x", "P(x)"), zip(xs, eval_model_1d(model, xs)))
+        xs = np.linspace(xmap.lo, xmap.hi, int(args.sample[0]))
+        _write_csv(args.sample[1], ("x", "P(x)"), zip(xs, eval_model_1d(model, xs)))
     if not report.converged:
         print(f"converged=false (max-abs residual above epsilon={_fmt(args.epsilon)})", file=sys.stderr)
         if args.strict:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -57,8 +58,7 @@ class FitConfig:
             raise ValueError(f"extra_sweeps must be >= 0, got {self.extra_sweeps}")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One coefficient update: which term, how much, and the residual after."""
 
     term: object  # int for curves, TermIndex2D for surfaces
@@ -139,33 +139,30 @@ class ChebModel1D:
         return self.coeffs.size
 
 
-class _Projector:
-    """The one projection step both fitters share.
+def _project(rows, norm2, gamma, plan, epsilon):
+    """The one projection loop both fitters share.
 
-    Owns the coefficients ``a`` and the error vector delta = gamma - a @ tau,
-    which it updates in place (O(m) per step) rather than recomputing.  A
-    step projects delta on a direction, moves delta along it, applies the
-    same increment to the coefficients through ``weights`` and traces the
-    residual after the update.
+    ``plan`` yields (k, kind) pairs, kind "visit" or "revisit"; the loop
+    stops before a visit once max|delta| <= epsilon.  A step projects the
+    error vector delta (gamma less the fit so far) on rows[k], moves delta
+    along it in place (O(m), through one scratch vector, so a step allocates
+    no m-vector) and records the plain tuple (k, kind, increment, max|delta|,
+    l2 of delta).  The callers turn the records into coefficients and a
+    trace.  Returns the records and the final max|delta|.
     """
-
-    def __init__(self, gamma, n, snapshots):
-        self.a = np.zeros(n)
-        self.delta = np.array(gamma, dtype=float)
-        self.trace = []
-        self.snapshots = snapshots
-
-    def step(self, direction, norm2, where, weights, label, kind) -> float:
-        delta = self.delta
-        inc = float((direction @ delta) / norm2)
-        self.a[where] += inc * weights
-        delta -= inc * direction
-        max_abs = float(np.abs(delta).max())
-        self.trace.append(
-            TraceStep(term=label, kind=kind, increment=inc, max_abs_residual=max_abs,
-                      l2_residual=_l2(delta, max_abs), coeffs=tuple(self.a.tolist()) if self.snapshots else None)
-        )
-        return max_abs
+    delta = np.array(gamma, dtype=float)
+    scratch = np.empty_like(delta)
+    max_abs = float(np.abs(delta).max())
+    steps = []
+    for k, kind in plan:
+        if kind == "visit" and max_abs <= epsilon:
+            break
+        row = rows[k]
+        inc = float((row @ delta) / norm2[k])
+        delta -= np.multiply(inc, row, out=scratch)
+        max_abs = float(np.abs(delta, out=scratch).max())
+        steps.append((k, kind, inc, max_abs, _l2(delta, max_abs)))
+    return steps, max_abs
 
 
 def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = IDENTITY_MAP):
@@ -178,25 +175,29 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     place (o_j = sum_k q[j, k] tau_k, so this equals the change of a @ tau).
     ``orthogonalize`` projects a term twice where one pass cancels more than
     half its squared norm, so crowded nodes are interpolated exactly too.
-    epsilon only feeds the converged flag, and extra_sweeps is ignored: the
-    schedule is a single fixed pass.
+    Every retained term is visited: epsilon only feeds the converged flag, and
+    extra_sweeps is ignored, as the schedule is a single fixed pass.
     """
     n = config.max_terms
     if n > samples.m:
         raise ValueError(f"max_terms={n} exceeds sample count m={samples.m}")
     tau = cheb_columns(samples.x, n).T  # row j is tau_j
     oset = orthogonalize(tau)
-    for j in oset.retained():
+    retained = oset.retained()
+    for j in retained:
         if not np.all(np.isfinite(oset.ortho[j])):
             raise FitError(f"orthogonal component of term {j} is not finite")
 
-    fit = _Projector(samples.y, n, snapshots=True)
-    for j in oset.retained():
-        o_j = oset.ortho[j]
-        max_abs = fit.step(o_j, o_j @ o_j, slice(0, j + 1), oset.q[j, : j + 1], j, "visit")
+    norm2 = {j: oset.ortho[j] @ oset.ortho[j] for j in retained}
+    steps, max_abs = _project(oset.ortho, norm2, samples.y, [(j, "visit") for j in retained], -math.inf)
+    a = np.zeros(n)
+    trace = []
+    for j, kind, inc, step_max, l2 in steps:
+        a[: j + 1] += inc * oset.q[j, : j + 1]
+        trace.append(TraceStep(j, kind, inc, step_max, l2, tuple(a.tolist())))
 
-    report = _report(fit.trace, fit.a, max_abs <= config.epsilon, sorted(oset.skipped), samples.y)
-    return ChebModel1D(coeffs=fit.a, xmap=xmap), report
+    report = _report(trace, a, max_abs <= config.epsilon, sorted(oset.skipped), samples.y)
+    return ChebModel1D(coeffs=a, xmap=xmap), report
 
 
 def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=None):
@@ -206,28 +207,20 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
     ``revisits[t]`` the positions revisited after visiting t, already in
     reverse preference order; ``labels``, if given, maps them to trace labels.
     Each step projects the error vector on tau_t and updates it in place; the
-    trace stores no coefficients (they are the running sum of the increments).
-    Returns (coefficients, trace, converged).
+    trace stores no coefficients (they are the running sum of the increments,
+    added in step order).  Returns (coefficients, trace, converged).
     """
     norm2 = np.einsum("ij,ij->i", tau, tau)
-    fit = _Projector(gamma, tau.shape[0], snapshots=False)
-
-    def apply(t, kind):
-        return fit.step(tau[t], norm2[t], t, 1.0, t if labels is None else labels[t], kind)
-
-    max_abs = float(np.abs(gamma).max())
-    for _ in range(config.extra_sweeps + 1):
-        if max_abs <= config.epsilon:
-            break
-        for t in schedule:
-            if max_abs <= config.epsilon:
-                break
-            if t in skipped:
-                continue
-            max_abs = apply(t, "visit")
-            for k in revisits[t]:
-                max_abs = apply(k, "revisit")
-    return fit.a, fit.trace, max_abs <= config.epsilon
+    sweep = [step for t in schedule if t not in skipped
+             for step in ((t, "visit"), *((k, "revisit") for k in revisits[t]))]
+    plan = chain.from_iterable(repeat(sweep, config.extra_sweeps + 1))
+    steps, max_abs = _project(tau, norm2, gamma, plan, config.epsilon)
+    a = np.zeros(tau.shape[0])
+    for t, _, inc, _, _ in steps:
+        a[t] += inc
+    trace = [TraceStep(t if labels is None else labels[t], kind, inc, step_max, l2)
+             for t, kind, inc, step_max, l2 in steps]
+    return a, trace, max_abs <= config.epsilon
 
 
 def _shape_first(tau, gamma, config, revisit, labels=None):

@@ -54,27 +54,34 @@ def orthogonalize(terms) -> OrthoSet:
     ortho = np.zeros_like(tau)
     q = np.zeros((n, n))
     skipped: set[int] = set()
-    norm2 = np.zeros(n)
+    # the retained o_k in order, with their squared norms: rows [:r] are live,
+    # and row r holds the remainder of the term being projected
+    stack = np.empty_like(tau)
+    norm2 = np.empty(n)
+    live: list[int] = []
 
     for j in range(n):
         # classical Gram-Schmidt projects tau_j (not the running remainder),
         # so the projection coefficients are one product over the retained o_k
-        live = [k for k in range(j) if k not in skipped]
-        o_live = ortho[live]
-        p = np.zeros(j)  # p[k]: projection coefficient of tau_j on o_k
-        p[live] = (o_live @ tau[j]) / norm2[live]
-        w = tau[j] - p[live] @ o_live
+        r = len(live)
+        o_live, w = stack[:r], stack[r]
+        coef = (o_live @ tau[j]) / norm2[:r]
+        np.subtract(tau[j], coef @ o_live, out=w)
         tau2, w2 = tau[j] @ tau[j], w @ w
         if w2 < 0.5 * tau2:  # cancelled more than half: orthogonality is lost
-            extra = (o_live @ w) / norm2[live]
-            p[live] += extra
+            extra = (o_live @ w) / norm2[:r]
+            coef += extra
             w -= extra @ o_live
             w2 = w @ w
         ortho[j] = w
-        norm2[j] = w2
         if w2 <= DEGENERATE_REL * tau2:
             skipped.add(j)
+        else:
+            norm2[r] = w2
+            live.append(j)
         # row j of q depends only on earlier rows: o_j = tau_j - sum_k p[k] o_k
+        p = np.zeros(j)  # p[k]: projection coefficient of tau_j on o_k
+        p[live[:r]] = coef
         q[j, :j] = -p @ q[:j, :j]
         q[j, j] = 1.0
 

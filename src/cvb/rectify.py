@@ -109,7 +109,7 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
         for name, k in zip(names, targets):
             samples = SampleSet2D(x=normed[a], y=normed[b], z=columns[k])
             model, report = cvb_approximate_2d(samples, cfg, xmap=maps[a], ymap=maps[b])
-            if not model.coeffs and np.abs(columns[k]).max() > 0:
+            if not model.coeffs and not report.converged:
                 raise FitError(f"sub-fit {name} is degenerate: no usable terms")
             models[name] = model
             stats[name] = report

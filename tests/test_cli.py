@@ -133,6 +133,14 @@ class TestFit1D:
         assert stderr == "error: --sample needs at least 2 points\n"
         assert not curve.exists()
 
+    def test_sample_is_checked_before_the_fit(self, quad_csv, tmp_path, capsys):
+        # a refused request prints no coefficients and writes no trace
+        trace, curve = tmp_path / "t.csv", tmp_path / "s.csv"
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(quad_csv), "--trace", str(trace),
+                                   "--sample", "1", str(curve))
+        assert (code, stdout, stderr) == (EXIT_VALIDATION, "", "error: --sample needs at least 2 points\n")
+        assert not trace.exists() and not curve.exists()
+
     def test_trace_output_columns(self, quad_csv, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         run(capsys, "fit1d", "--input", str(quad_csv), "--algorithm", "interp",

@@ -7,12 +7,17 @@ import pytest
 
 from cvb.basis import SampleSet1D, cheb_columns, cheb_zeros
 from cvb.fit1d import (
+    DEGENERATE_TERM_REL,
     ChebModel1D,
     FitConfig,
+    TraceStep,
+    _l2,
     cvb_approximate,
     cvb_interpolate,
     eval_model_1d,
 )
+from cvb.fit2d import SampleSet2D, cvb_approximate_2d, revisit_set, term_matrix, visit_order
+from cvb.orthogonalize import orthogonalize
 from cvb.synthetic import runge
 
 QUAD = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[0.0, 1.0, 4.0])
@@ -387,6 +392,14 @@ class TestTraceShape:
         assert len(report.trace) == 15
         assert all(step.coeffs is not None and len(step.coeffs) == 15 for step in report.trace)
 
+    def test_a_step_is_a_named_tuple(self):
+        _, report = cvb_approximate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=3))
+        step = report.trace[0]
+        term, kind, increment, max_abs, l2, coeffs = step
+        assert step == (term, kind, increment, max_abs, l2, None) and (term, kind, coeffs) == (0, "visit", None)
+        assert step._fields == ("term", "kind", "increment", "max_abs_residual", "l2_residual", "coeffs")
+        assert TraceStep(0, "visit", 1.0, 2.0, 3.0) == (0, "visit", 1.0, 2.0, 3.0, None)
+
 
 def scaled_l2(delta):
     """Oracle l2 norm: scaled by the largest |delta|, summed exactly."""
@@ -447,3 +460,162 @@ class TestL2ResidualRange:
         assert min(step.max_abs_residual for step in report.trace) < 1e-170
         for step in report.trace:
             assert step.max_abs_residual <= step.l2_residual <= 2.0 * step.max_abs_residual
+
+
+class OracleProjector:
+    """Literal copy of the step the fitters took one call at a time.
+
+    It allocates ``inc * direction`` and ``np.abs(delta)`` afresh and updates
+    the coefficients inside the step; the fitters' loop must give its bits.
+    """
+
+    def __init__(self, gamma, n, snapshots):
+        self.a = np.zeros(n)
+        self.delta = np.array(gamma, dtype=float)
+        self.trace = []
+        self.snapshots = snapshots
+
+    def step(self, direction, norm2, where, weights, label, kind):
+        delta = self.delta
+        inc = float((direction @ delta) / norm2)
+        self.a[where] += inc * weights
+        delta -= inc * direction
+        max_abs = float(np.abs(delta).max())
+        self.trace.append((label, kind, inc, max_abs, _l2(delta, max_abs),
+                           tuple(self.a.tolist()) if self.snapshots else None))
+        return max_abs
+
+
+def oracle_interpolate(samples, config):
+    oset = orthogonalize(cheb_columns(samples.x, config.max_terms).T)
+    fit = OracleProjector(samples.y, config.max_terms, snapshots=True)
+    for j in oset.retained():
+        o_j = oset.ortho[j]
+        max_abs = fit.step(o_j, o_j @ o_j, slice(0, j + 1), oset.q[j, : j + 1], j, "visit")
+    return fit.a, fit.trace, max_abs <= config.epsilon, sorted(oset.skipped)
+
+
+def oracle_sweeps(tau, gamma, config, revisit, labels):
+    norm2 = np.einsum("ij,ij->i", tau, tau)
+    skipped = {t for t in range(len(tau)) if norm2[t] <= DEGENERATE_TERM_REL * gamma.size}
+    fit = OracleProjector(gamma, len(tau), snapshots=False)
+    max_abs = float(np.abs(gamma).max())
+    for _ in range(config.extra_sweeps + 1):
+        if max_abs <= config.epsilon:
+            break
+        for t in range(len(tau)):
+            if max_abs <= config.epsilon:
+                break
+            if t in skipped:
+                continue
+            max_abs = fit.step(tau[t], norm2[t], t, 1.0, labels[t], "visit")
+            for k in revisit(t):
+                if k not in skipped:
+                    max_abs = fit.step(tau[k], norm2[k], k, 1.0, labels[k], "revisit")
+    return fit.a, fit.trace, max_abs <= config.epsilon, [labels[t] for t in sorted(skipped)]
+
+
+def oracle_approximate_1d(samples, config):
+    tau = cheb_columns(samples.x, config.max_terms).T
+    return oracle_sweeps(tau, samples.y, config, lambda j: range(j - 1, -1, -1), list(range(len(tau))))
+
+
+def oracle_approximate_2d(samples, config):
+    order = visit_order(config.max_terms)
+    pos = {t: p for p, t in enumerate(order)}
+    return oracle_sweeps(term_matrix(samples, order), samples.z, config,
+                         lambda p: [pos[t] for t in revisit_set(order[p], order)], order)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def trace_bits(trace):
+    return [(term, kind, *bits((inc, max_abs, l2)), None if coeffs is None else bits(coeffs))
+            for term, kind, inc, max_abs, l2, coeffs in trace]
+
+
+def cloud(seed, m=120, flat_y=False):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    y = np.zeros(m) if flat_y else rng.uniform(-1.0, 1.0, m)
+    return SampleSet2D(x=x, y=y, z=np.sin(3 * x) * np.cos(2 * y) + 0.01 * rng.standard_normal(m))
+
+
+def noisy_runge(seed, m=200):
+    rng = np.random.default_rng(seed)
+    x = cheb_zeros(m)
+    return SampleSet1D(x=x, y=runge(x) + 0.01 * rng.standard_normal(m))
+
+
+# 12 nodes crowded into [-1, -0.8]: orthogonalize re-projects rows and skips three terms
+CROWDED = SampleSet1D(x=np.linspace(-1.0, -0.8, 12), y=np.sin(5 * np.linspace(-1.0, -0.8, 12)))
+
+
+class TestEngineBits:
+    """Every trace field, coefficient, skipped set and stop flag keeps the oracle's bits."""
+
+    @staticmethod
+    def assert_same_bits(model_coeffs, report, oracle):
+        a, trace, converged, skipped = oracle
+        assert trace_bits(report.trace) == trace_bits(trace)
+        assert bits(model_coeffs) == bits(a)
+        assert report.converged == converged and list(report.skipped) == skipped
+        if trace:
+            assert bits((report.max_abs_residual, report.l2_residual)) == bits(trace[-1][3:5])
+
+    @pytest.mark.parametrize("samples, config", [
+        *[(random_samples(seed), None) for seed in range(6)],
+        (noisy_runge(1), FitConfig(epsilon=0.0, max_terms=30)),
+        (noisy_runge(2), FitConfig(epsilon=0.05, max_terms=20)),
+        (CROWDED, FitConfig(epsilon=0.0, max_terms=12)),
+    ])
+    def test_interpolation(self, samples, config):
+        config = config or FitConfig(epsilon=0.0, max_terms=samples.m)
+        model, report = cvb_interpolate(samples, config)
+        self.assert_same_bits(model.coeffs, report, oracle_interpolate(samples, config))
+
+    def test_crowded_interpolation_skips_and_reprojects(self):
+        tau = cheb_columns(CROWDED.x, 12).T
+        oset = orthogonalize(tau)
+        kept = oset.retained()
+        assert len(oset.skipped) == 3
+        # some retained row cancels more than half its norm on one projection
+        o = oset.ortho[kept]
+        one_pass = [tau[j] - ((o[:i] @ tau[j]) / np.einsum("ij,ij->i", o[:i], o[:i])) @ o[:i]
+                    for i, j in enumerate(kept)]
+        assert any(w @ w < 0.5 * (tau[j] @ tau[j]) for w, j in zip(one_pass, kept))
+
+    @pytest.mark.parametrize("samples, config", [
+        *[(noisy_runge(seed), FitConfig(epsilon=0.0, max_terms=25)) for seed in range(3)],
+        (noisy_runge(3), FitConfig(epsilon=0.0, max_terms=12, extra_sweeps=2)),
+        (noisy_runge(4), FitConfig(epsilon=0.05, max_terms=25)),
+        (RUNGE_15, FitConfig(epsilon=0.0, max_terms=15, extra_sweeps=2)),
+        (SampleSet1D(x=[0.0], y=[3.0]), FitConfig(epsilon=0.0, max_terms=3, extra_sweeps=2)),
+    ])
+    def test_curve_approximation(self, samples, config):
+        model, report = cvb_approximate(samples, config)
+        self.assert_same_bits(model.coeffs, report, oracle_approximate_1d(samples, config))
+
+    @pytest.mark.parametrize("samples, config", [
+        *[(cloud(seed), FitConfig(epsilon=0.0, max_terms=8)) for seed in range(3)],
+        (cloud(3), FitConfig(epsilon=0.0, max_terms=6, extra_sweeps=2)),
+        (cloud(4), FitConfig(epsilon=0.1, max_terms=8)),
+        (cloud(5, flat_y=True), FitConfig(epsilon=0.0, max_terms=5, extra_sweeps=2)),
+    ])
+    def test_surface_approximation(self, samples, config):
+        model, report = cvb_approximate_2d(samples, config)
+        order = visit_order(config.max_terms)
+        coeffs = [model.coeffs.get(t, 0.0) for t in order]
+        self.assert_same_bits(coeffs, report, oracle_approximate_2d(samples, config))
+
+    def test_cases_cover_early_stops_skips_and_extra_sweeps(self):
+        _, report = cvb_approximate_2d(cloud(4), FitConfig(epsilon=0.1, max_terms=8))
+        assert report.converged and len(report.trace) < len(oracle_approximate_2d(cloud(4), FitConfig(0.0, 8))[1])
+        _, report = cvb_approximate(noisy_runge(4), FitConfig(epsilon=0.05, max_terms=25))
+        assert report.converged and max(step.term for step in report.trace) < 24
+        _, report = cvb_approximate_2d(cloud(5, flat_y=True), FitConfig(epsilon=0.0, max_terms=5, extra_sweeps=2))
+        assert report.skipped and {step.kind for step in report.trace} == {"visit", "revisit"}
+        _, report = cvb_approximate(SampleSet1D(x=[0.0], y=[3.0]), FitConfig(epsilon=0.0, max_terms=3))
+        assert report.skipped == (1,)

@@ -233,6 +233,68 @@ def dependent_terms(seed):
     return np.array(rows)
 
 
+def gathered_gram_schmidt(tau):
+    """Literal copy of the block Gram-Schmidt that gathered the live o_k for every row.
+
+    It copies ``ortho[live]`` and ``norm2[live]`` through a fancy index each
+    time; ``orthogonalize`` reads them from its stack and must give its bits.
+    Also returns how many rows took the second pass.
+    """
+    n = tau.shape[0]
+    ortho, q, norm2 = np.zeros_like(tau), np.zeros((n, n)), np.zeros(n)
+    skipped = set()
+    reprojected = 0
+    for j in range(n):
+        live = [k for k in range(j) if k not in skipped]
+        o_live = ortho[live]
+        p = np.zeros(j)
+        p[live] = (o_live @ tau[j]) / norm2[live]
+        w = tau[j] - p[live] @ o_live
+        tau2, w2 = tau[j] @ tau[j], w @ w
+        if w2 < 0.5 * tau2:
+            reprojected += 1
+            extra = (o_live @ w) / norm2[live]
+            p[live] += extra
+            w -= extra @ o_live
+            w2 = w @ w
+        ortho[j] = w
+        norm2[j] = w2
+        if w2 <= 1e-12 * tau2:
+            skipped.add(j)
+        q[j, :j] = -p @ q[:j, :j]
+        q[j, j] = 1.0
+    return ortho, q, frozenset(skipped), reprojected
+
+
+class TestMatchesGatheredLoop:
+    """The stacked live set keeps the bits of the gathered one, second pass and skips included."""
+
+    @staticmethod
+    def assert_same_bits(tau):
+        oset = orthogonalize(tau)
+        ortho, q, skipped, reprojected = gathered_gram_schmidt(tau)
+        assert oset.skipped == skipped
+        assert oset.ortho.tobytes() == ortho.tobytes() and oset.q.tobytes() == q.tobytes()
+        return len(skipped), reprojected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_well_conditioned(self, seed):
+        self.assert_same_bits(random_terms(seed))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dependent_terms(self, seed):
+        skipped, reprojected = self.assert_same_bits(dependent_terms(seed))
+        assert skipped == 3 and reprojected >= 3
+
+    @pytest.mark.parametrize("width, n", [(0.6, 8), (0.2, 12)])
+    def test_second_pass(self, width, n):
+        tau = cheb_columns(np.linspace(-1.0, -1.0 + width, 12), n).T
+        assert self.assert_same_bits(tau)[1] > 0
+
+    def test_chebyshev_zero_nodes_at_benchmark_size(self):
+        self.assert_same_bits(cheb_columns(cheb_zeros(1000), 60).T)
+
+
 class TestMatchesPerKLoop:
     # always_reproject=False holds orthogonalize to its own rule; True to the
     # two-pass reference, which the rule must match where it skips the pass

@@ -189,6 +189,17 @@ class TestCalibrationInput:
         with pytest.raises(FitError, match="sub-fit fwd_x is degenerate: no usable terms"):
             calibrate(pairs, FitConfig(epsilon=0.0, max_terms=1))
 
+    def test_targets_already_within_epsilon_give_empty_surfaces(self):
+        # the zero surface meets epsilon, so each sub-fit converges without a step
+        model = calibrate(gen_correspondences(DistortionParams()), FitConfig(epsilon=1e9, max_terms=8))
+        for name in ("fwd_x", "fwd_y", "inv_u", "inv_v"):
+            sub, stats = getattr(model, name), model.meta.stats[name]
+            assert sub.coeffs == {} and stats.converged and stats.trace == ()
+        document = save_model(model)
+        loaded = load_model(document)
+        assert all(getattr(loaded, name).coeffs == {} for name in ("fwd_x", "fwd_y", "inv_u", "inv_v"))
+        assert save_model(loaded) == document
+
 
 class TestCorrespondenceRow:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
