@@ -136,6 +136,8 @@ def _write_trace(path, report, n_coeffs=0):
 def cmd_fit1d(args) -> int:
     if args.sample and int(args.sample[0]) < 2:
         raise ValueError("--sample needs at least 2 points")
+    if args.algorithm == "interp" and args.extra_sweeps > 0:
+        raise ValueError("--extra-sweeps does not apply to --algorithm interp: interpolation is one fixed pass")
     samples, xmap = _load_samples_1d(args.input)
     fit = cvb_interpolate if args.algorithm == "interp" else cvb_approximate
     model, report = fit(samples, _fit_config(args, samples.m), xmap=xmap)

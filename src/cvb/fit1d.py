@@ -99,10 +99,16 @@ def _scale_exponent(max_abs) -> int:
 
 
 def _l2(delta, max_abs) -> float:
-    """The l2 norm of delta, given max_abs = max|delta|, scaled as ``_scale_exponent`` says."""
+    """The l2 norm of delta, given max_abs = max|delta|, scaled as ``_scale_exponent`` says.
+
+    inf when the norm of a finite delta lies beyond the float range.
+    """
     e = _scale_exponent(max_abs)
     u = np.ldexp(delta, -e) if e else delta
-    return math.ldexp(math.sqrt(u @ u), e)
+    try:
+        return math.ldexp(math.sqrt(u @ u), e)
+    except OverflowError:
+        return math.inf
 
 
 def _report(trace, a, converged, skipped, gamma) -> FitReport:
@@ -148,20 +154,27 @@ def _project(rows, norm2, gamma, plan, epsilon):
     along it in place (O(m), through one scratch vector, so a step allocates
     no m-vector) and records the plain tuple (k, kind, increment, max|delta|,
     l2 of delta).  The callers turn the records into coefficients and a
-    trace.  Returns the records and the final max|delta|.
+    trace.  Returns the records and the final max|delta|.  Raises FitError
+    once the residual or its l2 norm leaves the float range.
     """
     delta = np.array(gamma, dtype=float)
     scratch = np.empty_like(delta)
-    max_abs = float(np.abs(delta).max())
+    max_abs = data_max = float(np.abs(delta).max())
     steps = []
-    for k, kind in plan:
-        if kind == "visit" and max_abs <= epsilon:
-            break
-        row = rows[k]
-        inc = float((row @ delta) / norm2[k])
-        delta -= np.multiply(inc, row, out=scratch)
-        max_abs = float(np.abs(delta, out=scratch).max())
-        steps.append((k, kind, inc, max_abs, _l2(delta, max_abs)))
+    # an overflowing step is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, kind in plan:
+            if kind == "visit" and max_abs <= epsilon:
+                break
+            row = rows[k]
+            inc = float((row @ delta) / norm2[k])
+            delta -= np.multiply(inc, row, out=scratch)
+            max_abs = float(np.abs(delta, out=scratch).max())
+            l2 = _l2(delta, max_abs)  # not finite if max_abs is not
+            if not math.isfinite(l2):
+                raise FitError(f"the fit residual leaves the float range (±{np.finfo(float).max:.4g}) "
+                               f"on data whose largest |value| is {data_max!r}")
+            steps.append((k, kind, inc, max_abs, l2))
     return steps, max_abs
 
 
@@ -223,22 +236,25 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
     return a, trace, max_abs <= config.epsilon
 
 
-def _shape_first(tau, gamma, config, revisit, labels=None):
+def _shape_first(tau, targets, config, revisit, labels=None):
     """The shape-first driver behind both approximation fitters.
 
     Rows of ``tau`` are visited in order.  Rows whose squared norm is at most
     ``DEGENERATE_TERM_REL`` times the sample count are skipped and dropped
     from the revisit lists; ``revisit(t)`` gives the rows revisited after
-    visiting t, in reverse preference order.  Returns the coefficients by row
-    and the FitReport, whose skipped terms carry ``labels`` when given.
+    visiting t, in reverse preference order.  The skip set and revisit lists
+    are built once; then each of ``targets`` (right-hand sides over the same
+    samples) is swept in turn, lazily, yielding its coefficients by row and
+    its FitReport, whose skipped terms carry ``labels`` when given.
     """
     norm2 = np.einsum("ij,ij->i", tau, tau)
-    skipped = frozenset(int(t) for t in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * gamma.size))
+    skipped = frozenset(int(t) for t in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * tau.shape[1]))
     schedule = list(range(tau.shape[0]))
     revisits = {t: [k for k in revisit(t) if k not in skipped] for t in schedule}
-    a, trace, converged = projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels)
     named = [t if labels is None else labels[t] for t in sorted(skipped)]
-    return a, _report(trace, a, converged, named, gamma)
+    for gamma in targets:
+        a, trace, converged = projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels)
+        yield a, _report(trace, a, converged, named, gamma)
 
 
 def cvb_approximate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = IDENTITY_MAP):
@@ -252,7 +268,7 @@ def cvb_approximate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     not raised.
     """
     tau = cheb_columns(samples.x, config.max_terms).T
-    a, report = _shape_first(tau, samples.y, config, lambda j: range(j - 1, -1, -1))
+    a, report = next(_shape_first(tau, [samples.y], config, lambda j: range(j - 1, -1, -1)))
     return ChebModel1D(coeffs=a, xmap=xmap), report
 
 

@@ -135,15 +135,18 @@ def cvb_approximate_2d(
     max-abs residual reaches epsilon or the schedule (times any extra sweeps)
     is exhausted.  Near-zero term vectors are skipped and recorded.
     """
+    return next(_approximate_2d(samples, [samples.z], config, xmap, ymap))
+
+
+def _approximate_2d(samples: SampleSet2D, targets, config: FitConfig, xmap: DomainMap, ymap: DomainMap):
+    """Lazily, ``cvb_approximate_2d`` of each of ``targets`` on one term matrix and revisit plan."""
     order = visit_order(config.max_terms)
     pos = {t: p for p, t in enumerate(order)}
-    a, report = _shape_first(
-        term_matrix(samples, order), samples.z, config,
-        lambda p: [pos[t] for t in revisit_set(order[p], order)], labels=order,
-    )
-    coeffs = {t: float(c) for t, c in zip(order, a) if c != 0.0}
-    model = ChebModel2D(coeffs=coeffs, xmap=xmap, ymap=ymap, degree_bound=config.max_terms)
-    return model, report
+    fits = _shape_first(term_matrix(samples, order), targets, config,
+                        lambda p: [pos[t] for t in revisit_set(order[p], order)], labels=order)
+    for a, report in fits:
+        coeffs = {t: float(c) for t, c in zip(order, a) if c != 0.0}
+        yield ChebModel2D(coeffs=coeffs, xmap=xmap, ymap=ymap, degree_bound=config.max_terms), report
 
 
 # Points per block of the point evaluator: a block's Chebyshev columns and

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import MIN_NODE_GAP, DomainMap, _has_close_pair, auto_map
 from .fit1d import FitConfig, FitError
-from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _eval_points, _grid_factors, cvb_approximate_2d
+from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _approximate_2d, _eval_points, _grid_factors
 
 SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
@@ -61,6 +61,8 @@ class Correspondence(_Row):
 
 @dataclass(frozen=True)
 class CalibrationMeta:
+    """Degree bound, reports and ``epsilon``: the forward target only, as no inverse one is kept."""
+
     epsilon: float
     degree_bound: int
     stats: Optional[dict] = None  # name -> FitReport, absent on loaded models
@@ -106,9 +108,10 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
     models = {}
     stats = {}
     for _, names, (a, b), targets, cfg in directions:
-        for name, k in zip(names, targets):
-            samples = SampleSet2D(x=normed[a], y=normed[b], z=columns[k])
-            model, report = cvb_approximate_2d(samples, cfg, xmap=maps[a], ymap=maps[b])
+        # one sample set, term matrix and revisit plan per direction, swept once per target
+        samples = SampleSet2D(x=normed[a], y=normed[b], z=columns[targets[0]])
+        fits = _approximate_2d(samples, [columns[k] for k in targets], cfg, maps[a], maps[b])
+        for name, (model, report) in zip(names, fits):
             if not model.coeffs and not report.converged:
                 raise FitError(f"sub-fit {name} is degenerate: no usable terms")
             models[name] = model
@@ -214,7 +217,8 @@ def save_model(model: CalibrationModel) -> str:
 
     Output is byte-stable: fixed key order, terms in visit order (the order
     ``ChebModel2D`` keeps), every real rendered with 17 significant digits
-    (which round-trips float64 exactly).
+    (which round-trips float64 exactly).  ``"epsilon"`` is
+    ``meta.epsilon``, the forward target only.
     """
     n = model.meta.degree_bound
     if any(getattr(model, name).degree_bound != n for name in SUBFIT_NAMES):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -97,3 +98,55 @@ def test_calibrate_takes_the_benchmark_correspondence_list():
     rows = cvb.calibrate([cvb.Correspondence(*row) for row in zip(u, v, X, Y)], config)
     table = cvb.calibrate(np.column_stack((u, v, X, Y)), config)
     assert cvb.save_model(rows) == cvb.save_model(table)
+
+
+def _perfbench_calls():
+    """(file:line, callable) for every perfbench call of a ``cvb`` callable, with its ast.Call.
+
+    A callable is ``cvb.a.b(...)`` or a name bound by ``from cvb... import``.
+    Calls with starred arguments are left out: their arity is not in the source.
+    """
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name: (node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "cvb"
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                continue
+            chain, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name):
+                continue
+            if func.id == "cvb" and chain:
+                target = cvb
+            elif func.id in imported:
+                module, name = imported[func.id]
+                target = getattr(importlib.import_module(module), name)
+            else:
+                continue
+            for attr in chain:  # a submodule such as cvb.cli is imported on the way
+                target = (getattr(target, attr) if hasattr(target, attr)
+                          else importlib.import_module(f"{target.__name__}.{attr}"))
+            if callable(target):
+                calls.append((f"{path.name}:{node.lineno}", target, node))
+    return calls
+
+
+def test_the_benchmark_calls_bind_to_the_current_signatures():
+    # a renamed or dropped parameter would break the benchmark with no Tier-1 test failing
+    calls = _perfbench_calls()
+    called = {target for _, target, _ in calls}
+    assert cvb.calibrate in called and cvb.fit1d.projection_sweeps in called
+    unbound = []
+    for where, target, node in calls:
+        try:
+            inspect.signature(target).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    assert unbound == []

@@ -168,6 +168,22 @@ class TestFit1D:
             assert [float(v) for v in row[5:]] == a
         assert rows[-1][5:] == stdout.split()
 
+    def test_extra_sweeps_are_refused_for_interpolation(self, tmp_path, capsys):
+        # refused before any input is read: the input does not exist, and no trace is written
+        trace = tmp_path / "t.csv"
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(tmp_path / "absent.csv"), "--algorithm",
+                                   "interp", "--extra-sweeps", "1", "--trace", str(trace))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == ("error: --extra-sweeps does not apply to --algorithm interp: "
+                          "interpolation is one fixed pass\n")
+        assert not trace.exists()
+
+    def test_interpolation_takes_zero_extra_sweeps(self, quad_csv, capsys):
+        code, stdout, _ = run(capsys, "fit1d", "--input", str(quad_csv), "--algorithm", "interp",
+                              "--extra-sweeps", "0")
+        assert code == EXIT_OK
+        assert [float(v) for v in stdout.split()] == pytest.approx([1.5, 2.0, 0.5], abs=1e-10)
+
     @pytest.mark.parametrize("algorithm", ["interp", "approx"])
     def test_trace_of_residuals_whose_squares_overflow_is_finite(self, tmp_path, capsys, algorithm):
         # delta . delta of these data overflows; the l2 residual is scaled first, so it stays finite
@@ -704,6 +720,41 @@ class TestFarOutsideTheFit:
         assert stderr == (f"error: cannot serialize non-finite value X=-inf: the point u=1e+150, v=5.0 "
                           f"at {data}:4 maps beyond the float range\n")
         assert not out.exists()
+
+
+# (command and flags, input file name, its text, the data's largest |value| as repr prints it)
+NEAR_THE_FLOAT_LIMIT = {
+    "fit1d-interp": (("fit1d", "--algorithm", "interp"), "f.csv",
+                     "x,y\n-1,1.7e308\n0,-1.7e308\n1,1.7e308\n", "1.7e+308"),
+    "fit1d-approx": (("fit1d", "--algorithm", "approx"), "f.csv",
+                     "x,y\n-1,1.7e308\n0,-1.7e308\n1,1.7e308\n", "1.7e+308"),
+    "fit1d-interp-1e308": (("fit1d", "--algorithm", "interp"), "f.csv",
+                           "x,y\n-1,1e308\n0,-1e308\n1,1e308\n", "1e+308"),
+    "fit1d-approx-1e308": (("fit1d", "--algorithm", "approx"), "f.csv",
+                           "x,y\n-1,1e308\n0,-1e308\n1,1e308\n", "1e+308"),
+    # max|delta| stays finite here, but the l2 of the residual does not
+    "fit2d": (("fit2d",), "f.csv", "x,y,z\n-1,-1,1.7e308\n1,-1,-1.7e308\n-1,1,-1.7e308\n1,1,1.7e308\n",
+              "1.7e+308"),
+    "calibrate": (("calibrate", "--degree-bound", "2"), "pairs.csv",
+                  "u,v,X,Y\n0,0,1.7e308,0\n1,0,1.6e308,1\n0,1,1.65e308,2\n1,1,1.62e308,3\n2,1,1.61e308,4\n",
+                  "1.7e+308"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", NEAR_THE_FLOAT_LIMIT)
+def test_a_fit_whose_residual_leaves_the_float_range_is_refused_by_name(tmp_path, capsys, case):
+    # under error::RuntimeWarning a numpy warning would end the run, so none is raised
+    argv, name, text, largest = NEAR_THE_FLOAT_LIMIT[case]
+    data, out = tmp_path / name, tmp_path / "out"
+    data.write_text(text)
+    flag = "--pairs" if argv[0] == "calibrate" else "--input"
+    written = ("--out", str(out)) if argv[0] == "calibrate" else ("--trace", str(out))
+    code, stdout, stderr = run(capsys, *argv, flag, str(data), *written)
+    assert (code, stdout) == (EXIT_VALIDATION, "")
+    assert stderr == (f"error: the fit residual leaves the float range (±1.798e+308) "
+                      f"on data whose largest |value| is {largest}\n")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

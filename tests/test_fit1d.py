@@ -1,6 +1,7 @@
 """Univariate fitting: exact interpolation, shape-first approximation, traces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cvb.fit1d import (
     DEGENERATE_TERM_REL,
     ChebModel1D,
     FitConfig,
+    FitError,
     TraceStep,
     _l2,
     cvb_approximate,
@@ -460,6 +462,36 @@ class TestL2ResidualRange:
         assert min(step.max_abs_residual for step in report.trace) < 1e-170
         for step in report.trace:
             assert step.max_abs_residual <= step.l2_residual <= 2.0 * step.max_abs_residual
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBeyondTheFloatRange:
+    """A residual or l2 norm beyond the float range is refused by name, with no numpy warning."""
+
+    @pytest.mark.parametrize("peak", [1e308, 1.7e308])
+    @pytest.mark.parametrize("fit", [cvb_interpolate, cvb_approximate])
+    def test_curve_fits_refuse_an_overflowing_residual(self, fit, peak):
+        samples = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[peak, -peak, peak])
+        with pytest.raises(FitError, match=re.escape(f"float range (±1.798e+308) on data whose largest |value| "
+                                                     f"is {peak!r}")):
+            fit(samples, FitConfig(epsilon=0.0, max_terms=3))
+
+    def test_surface_fit_refuses_an_l2_beyond_the_float_range(self):
+        # each |residual| stays at 1.7e308, but their l2 norm, 3.4e308, does not fit a float
+        samples = SampleSet2D(x=[-1.0, 1.0, -1.0, 1.0], y=[-1.0, -1.0, 1.0, 1.0],
+                              z=[1.7e308, -1.7e308, -1.7e308, 1.7e308])
+        with pytest.raises(FitError, match="leaves the float range"):
+            cvb_approximate_2d(samples, FitConfig(epsilon=0.0, max_terms=2))
+
+    def test_l2_beyond_the_float_range_is_inf(self):
+        assert _l2(np.array([1.7e308, -1.7e308]), 1.7e308) == math.inf
+        assert _l2(np.array([1.7e308, 0.0]), 1.7e308) == 1.7e308
+
+    def test_empty_trace_reports_an_l2_beyond_the_float_range_as_inf(self):
+        _, report = cvb_approximate(SampleSet1D(x=[-1.0, 0.0, 1.0], y=[1.7e308] * 3),
+                                    FitConfig(epsilon=1.7e308, max_terms=3))
+        assert report.trace == () and report.converged
+        assert (report.max_abs_residual, report.l2_residual) == (1.7e308, math.inf)
 
 
 class OracleProjector:

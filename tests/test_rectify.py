@@ -10,11 +10,24 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from scipy import ndimage
 
-from cvb.basis import DomainMap, ExtrapolationWarning
+from cvb import fit1d, fit2d, rectify
+from cvb.basis import DomainMap, ExtrapolationWarning, auto_map
 from cvb.fit1d import FitConfig, FitError, FitReport
-from cvb.fit2d import _BLOCK, ChebModel2D, TermIndex2D, _eval_points, _grid_factors, eval_model_2d, visit_order
+from cvb.fit2d import (
+    _BLOCK,
+    ChebModel2D,
+    SampleSet2D,
+    TermIndex2D,
+    _eval_points,
+    _grid_factors,
+    cvb_approximate_2d,
+    eval_model_2d,
+    term_matrix,
+    visit_order,
+)
 from cvb.rectify import (
     _BAND,
+    SUBFIT_NAMES,
     CalibrationMeta,
     CalibrationModel,
     Correspondence,
@@ -244,6 +257,112 @@ class TestCalibrationStats:
         assert fwd_x.trace == () and fwd_x.converged
         assert (fwd_x.max_abs_residual, fwd_x.l2_residual) == (0.0, 0.0)
         assert fwd_y.trace and fwd_y.max_abs_residual == fwd_y.trace[-1].max_abs_residual
+
+
+def jittered_pairs(seed):
+    """A jittered world grid seen through the oracle distortion, as the rectification benchmark draws it."""
+    rng = np.random.default_rng(seed)
+    gx, gy = np.meshgrid(np.linspace(-500.0, 500.0, 13), np.linspace(-380.0, 380.0, 10))
+    X = gx.ravel() + rng.uniform(-4.0, 4.0, gx.size)
+    Y = gy.ravel() + rng.uniform(-4.0, 4.0, gy.size)
+    return np.column_stack((*distort(ORACLE, X, Y), X, Y))
+
+
+def separate_sub_fits(pairs, config, inverse_config=None):
+    """The four sub-fits as four ``cvb_approximate_2d`` calls, each on its own sample set."""
+    columns = np.asarray(pairs, dtype=float).T.copy()
+    maps = [auto_map(c) for c in columns]
+    normed = [m.forward(c) for m, c in zip(maps, columns)]
+    jobs = {"fwd_x": (0, 1, 2, config), "fwd_y": (0, 1, 3, config),
+            "inv_u": (2, 3, 0, inverse_config or config), "inv_v": (2, 3, 1, inverse_config or config)}
+    return {name: cvb_approximate_2d(SampleSet2D(x=normed[a], y=normed[b], z=columns[k]), cfg,
+                                     xmap=maps[a], ymap=maps[b])
+            for name, (a, b, k, cfg) in jobs.items()}
+
+
+def counted(built, name, func):
+    """``func``, counting its calls in ``built[name]``."""
+    def wrapper(*args, **kwargs):
+        built[name] += 1
+        return func(*args, **kwargs)
+    return wrapper
+
+
+def exact_report(report):
+    """Every field of a FitReport, each float as float.hex."""
+    h = lambda value: float(value).hex()
+    steps = tuple((s.term, s.kind, h(s.increment), h(s.max_abs_residual), h(s.l2_residual), s.coeffs)
+                  for s in report.trace)
+    return (steps, report.terms_used, report.converged, report.skipped,
+            h(report.max_abs_residual), h(report.l2_residual))
+
+
+# (pairs, config, inverse_config): seeds, another inverse target with extra
+# sweeps, a constant u column (so every T_1(u) term is skipped), and a target
+# every zero surface already meets
+SHARED_SET_UP_CASES = {
+    "seed-1": (lambda: jittered_pairs(1), FWD_CONFIG, INV_CONFIG),
+    "seed-2": (lambda: jittered_pairs(2), FWD_CONFIG, INV_CONFIG),
+    "seed-3": (lambda: jittered_pairs(3), FWD_CONFIG, INV_CONFIG),
+    "extra-sweeps": (lambda: gen_correspondences(ORACLE), FitConfig(epsilon=0.5, max_terms=8, extra_sweeps=2),
+                     FitConfig(epsilon=0.1, max_terms=8, extra_sweeps=2)),
+    "skipped": (lambda: [(5.0, v, float(v), v * v + 0.1 * v) for v in range(10)],
+                FitConfig(epsilon=0.0, max_terms=4), None),
+    "epsilon-1e9": (lambda: gen_correspondences(ORACLE), FitConfig(epsilon=1e9, max_terms=8), None),
+}
+
+
+class TestSharedSetUp:
+    """calibrate fits each direction's two surfaces from one sample set, term matrix and revisit plan."""
+
+    @pytest.mark.parametrize("case", SHARED_SET_UP_CASES)
+    def test_equals_four_separate_fits(self, case):
+        make_pairs, config, inverse_config = SHARED_SET_UP_CASES[case]
+        pairs = make_pairs()
+        model = calibrate(pairs, config, inverse_config=inverse_config)
+        separate = separate_sub_fits(pairs, config, inverse_config)
+        for name in SUBFIT_NAMES:
+            sub, (alone, report) = getattr(model, name), separate[name]
+            assert [(t, c.hex()) for t, c in sub.coeffs.items()] == [(t, c.hex()) for t, c in alone.coeffs.items()]
+            assert (sub.xmap, sub.ymap, sub.degree_bound) == (alone.xmap, alone.ymap, alone.degree_bound)
+            assert exact_report(model.meta.stats[name]) == exact_report(report), name
+        if case == "skipped":
+            assert TermIndex2D(1, 0) in model.meta.stats["fwd_x"].skipped
+        meta = CalibrationMeta(epsilon=config.epsilon, degree_bound=config.max_terms)
+        assert save_model(model) == save_model(
+            CalibrationModel(meta=meta, **{name: fit[0] for name, fit in separate.items()}))
+
+    def test_set_up_is_built_once_per_direction(self, monkeypatch):
+        built = {"SampleSet2D": 0, "term_matrix": 0, "revisit_set": 0}
+
+        monkeypatch.setattr(rectify, "SampleSet2D", counted(built, "SampleSet2D", SampleSet2D))
+        monkeypatch.setattr(fit2d, "term_matrix", counted(built, "term_matrix", term_matrix))
+        monkeypatch.setattr(fit2d, "revisit_set", counted(built, "revisit_set", fit2d.revisit_set))
+        calibrate(gen_correspondences(ORACLE), FWD_CONFIG, inverse_config=INV_CONFIG)
+        # one revisit list per term of the schedule, in each of the two plans
+        assert built == {"SampleSet2D": 2, "term_matrix": 2, "revisit_set": 2 * len(visit_order(8))}
+
+    @pytest.mark.parametrize("first, later", [("fwd_x", ()), ("fwd_y", ("inv_v",)), ("inv_v", ())])
+    def test_the_first_degenerate_sub_fit_is_named(self, monkeypatch, first, later):
+        # with the constant term alone, a zero-sum target takes an increment of exactly 0: v takes
+        # -1.5 .. 1.5, so inv_v's target sums to 0, and so does an X or Y that alternates in sign
+        grid = [(u, v) for u in range(4) for v in (-1.5, -0.5, 0.5, 1.5)]
+        alternating = [(-1.0) ** (u + k) for k, (u, v) in enumerate(grid)]
+        pairs = {"fwd_x": [(u, v, s, 4.0 * u + v) for (u, v), s in zip(grid, alternating)],
+                 "fwd_y": [(u, v, 4.0 * u + v, s) for (u, v), s in zip(grid, alternating)],
+                 "inv_v": [(u, v, 4.0 * u + v, 4.0 * v + u) for u, v in grid]}[first]
+        built = {"term_matrix": 0, "sweeps": 0}
+
+        monkeypatch.setattr(fit2d, "term_matrix", counted(built, "term_matrix", term_matrix))
+        monkeypatch.setattr(fit1d, "projection_sweeps", counted(built, "sweeps", fit1d.projection_sweeps))
+        with pytest.raises(FitError, match=f"sub-fit {first} is degenerate: no usable terms"):
+            calibrate(pairs, FitConfig(epsilon=0.0, max_terms=1))
+        # no sub-fit after the first failing one is swept, and no inverse set-up follows a forward failure
+        position = SUBFIT_NAMES.index(first)
+        assert built == {"term_matrix": 1 + position // 2, "sweeps": 1 + position}
+        for name in later:
+            alone = separate_sub_fits(pairs, FitConfig(epsilon=0.0, max_terms=1))[name]
+            assert not alone[0].coeffs and not alone[1].converged
 
 
 class TestOracleAccuracy:
