@@ -3,14 +3,16 @@
 Two fitters share the machinery: an exact interpolation that projects the
 error vector on an orthogonalized copy of the term vectors, and a shape-first
 approximation that projects on the raw term vectors in preference order with
-reverse-order revisits after every new term.
+reverse-order revisits after every new term.  Both run one loop, ``_project``,
+whose steps are serial (each projects the residual the previous one left),
+while the residual statistics of the trace are taken in blocks of at most
+``_STEP_BLOCK`` steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -145,37 +147,74 @@ class ChebModel1D:
         return self.coeffs.size
 
 
-def _project(rows, norm2, gamma, plan, epsilon):
+# Steps per block of the projection loop: each step writes its residual into
+# the next row of one block, and the statistics of up to this many steps are
+# taken in one pass, so their cost per step falls while memory stays O(m).
+_STEP_BLOCK = 32
+
+
+def _statistics(block, pending, data_max, maxes, l2s) -> float:
+    """Append max|delta| and the l2 of delta for residual rows 1..pending of ``block``.
+
+    Row ``pending`` (the current residual) is first copied to row 0, where
+    the next step reads it; then the rows are made absolute in place (the
+    squares, so the l2, keep their bits) and measured as ``_l2`` measures
+    one vector.  Raises FitError at the first row whose l2 leaves the float
+    range.  Returns the last row's max.
+    """
+    block[0] = block[pending]
+    residuals = np.abs(block[1:pending + 1], out=block[1:pending + 1])
+    row_max = residuals.max(axis=1).tolist()
+    for row, max_abs in zip(residuals, row_max):
+        l2 = math.sqrt(row.dot(row)) if 1e-140 <= max_abs <= 1e140 else _l2(row, max_abs)
+        if not math.isfinite(l2):  # nor is max_abs, if it is not finite
+            raise FitError(f"the fit residual leaves the float range (±{np.finfo(float).max:.4g}) "
+                           f"on data whose largest |value| is {data_max!r}")
+        l2s.append(l2)
+    maxes.extend(row_max)
+    return row_max[-1]
+
+
+def _project(rows, norm2, gamma, plan, epsilon=None):
     """The one projection loop both fitters share.
 
-    ``plan`` yields (k, kind) pairs, kind "visit" or "revisit"; the loop
-    stops before a visit once max|delta| <= epsilon.  A step projects the
-    error vector delta (gamma less the fit so far) on rows[k], moves delta
-    along it in place (O(m), through one scratch vector, so a step allocates
-    no m-vector) and records the plain tuple (k, kind, increment, max|delta|,
-    l2 of delta).  The callers turn the records into coefficients and a
-    trace.  Returns the records and the final max|delta|.  Raises FitError
-    once the residual or its l2 norm leaves the float range.
+    ``plan`` is a list of (k, kind) pairs, kind "visit" or "revisit"; unless
+    ``epsilon`` is None the loop stops before a visit once max|delta| <=
+    epsilon.  A step projects the error vector delta (gamma less the fit so
+    far) on rows[k] and writes delta less its projection into the next row
+    of one block of ``_STEP_BLOCK`` + 1 rows; it allocates nothing.  The steps are
+    serial, but the residual statistics are outputs only, so
+    ``_statistics`` takes them once per block: before a visit that may
+    stop, when the block is full, and at the end.  Returns the increments,
+    max|delta| and l2 of delta of the steps taken (the first len(incs)
+    entries of ``plan``) and the final max|delta|.  Raises FitError once
+    the residual or its l2 norm leaves the float range.
     """
-    delta = np.array(gamma, dtype=float)
-    scratch = np.empty_like(delta)
-    max_abs = data_max = float(np.abs(delta).max())
-    steps = []
-    # an overflowing step is refused below, so numpy need not warn of it
+    gamma = np.asarray(gamma, dtype=float)
+    block = np.empty((_STEP_BLOCK + 1, gamma.size))
+    views = list(block)
+    max_abs = data_max = float(np.abs(gamma).max())
+    block[0] = gamma
+    incs, maxes, l2s = [], [], []
+    pending = 0  # rows 1..pending hold residuals not yet measured
+    # an overflowing step is refused in _statistics, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for k, kind in plan:
-            if kind == "visit" and max_abs <= epsilon:
-                break
-            row = rows[k]
+            if kind == "visit" and epsilon is not None:
+                if pending:
+                    max_abs, pending = _statistics(block, pending, data_max, maxes, l2s), 0
+                if max_abs <= epsilon:
+                    break
+            row, delta, out = rows[k], views[pending], views[pending + 1]
             inc = float((row @ delta) / norm2[k])
-            delta -= np.multiply(inc, row, out=scratch)
-            max_abs = float(np.abs(delta, out=scratch).max())
-            l2 = _l2(delta, max_abs)  # not finite if max_abs is not
-            if not math.isfinite(l2):
-                raise FitError(f"the fit residual leaves the float range (±{np.finfo(float).max:.4g}) "
-                               f"on data whose largest |value| is {data_max!r}")
-            steps.append((k, kind, inc, max_abs, l2))
-    return steps, max_abs
+            np.subtract(delta, np.multiply(inc, row, out=out), out=out)
+            incs.append(inc)
+            pending += 1
+            if pending == _STEP_BLOCK:
+                max_abs, pending = _statistics(block, pending, data_max, maxes, l2s), 0
+        if pending:
+            max_abs = _statistics(block, pending, data_max, maxes, l2s)
+    return incs, maxes, l2s, max_abs
 
 
 def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = IDENTITY_MAP):
@@ -202,15 +241,36 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
             raise FitError(f"orthogonal component of term {j} is not finite")
 
     norm2 = {j: oset.ortho[j] @ oset.ortho[j] for j in retained}
-    steps, max_abs = _project(oset.ortho, norm2, samples.y, [(j, "visit") for j in retained], -math.inf)
+    incs, maxes, l2s, max_abs = _project(oset.ortho, norm2, samples.y, [(j, "visit") for j in retained])
     a = np.zeros(n)
     trace = []
-    for j, kind, inc, step_max, l2 in steps:
+    for j, inc, step_max, l2 in zip(retained, incs, maxes, l2s):
         a[: j + 1] += inc * oset.q[j, : j + 1]
-        trace.append(TraceStep(j, kind, inc, step_max, l2, tuple(a.tolist())))
+        trace.append(TraceStep(j, "visit", inc, step_max, l2, tuple(a.tolist())))
 
     report = _report(trace, a, max_abs <= config.epsilon, sorted(oset.skipped), samples.y)
     return ChebModel1D(coeffs=a, xmap=xmap), report
+
+
+def _sweep_plan(schedule, revisits, skipped, extra_sweeps):
+    """The flat (k, kind) step list of ``1 + extra_sweeps`` passes over the schedule."""
+    sweep = [step for t in schedule if t not in skipped
+             for step in ((t, "visit"), *((k, "revisit") for k in revisits[t]))]
+    return sweep * (extra_sweeps + 1)
+
+
+def _sweep(rows, norm2, gamma, plan, epsilon, labels):
+    """One target's pass along ``plan``: (coefficients, trace, converged).
+
+    ``rows`` and ``norm2`` are lists, the cheapest to index once per step.
+    """
+    incs, maxes, l2s, max_abs = _project(rows, norm2, gamma, plan, epsilon)
+    a = [0.0] * len(rows)  # float sums, in step order, as numpy would add them
+    for (t, _), inc in zip(plan, incs):
+        a[t] += inc
+    trace = [TraceStep(labels[t], kind, inc, step_max, l2)
+             for (t, kind), inc, step_max, l2 in zip(plan, incs, maxes, l2s)]
+    return np.array(a), trace, max_abs <= epsilon
 
 
 def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=None):
@@ -219,41 +279,37 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
     ``schedule`` lists row positions of ``tau`` in visit order and
     ``revisits[t]`` the positions revisited after visiting t, already in
     reverse preference order; ``labels``, if given, maps them to trace labels.
-    Each step projects the error vector on tau_t and updates it in place; the
+    Each step projects the error vector on tau_t (see ``_project``); the
     trace stores no coefficients (they are the running sum of the increments,
     added in step order).  Returns (coefficients, trace, converged).
     """
-    norm2 = np.einsum("ij,ij->i", tau, tau)
-    sweep = [step for t in schedule if t not in skipped
-             for step in ((t, "visit"), *((k, "revisit") for k in revisits[t]))]
-    plan = chain.from_iterable(repeat(sweep, config.extra_sweeps + 1))
-    steps, max_abs = _project(tau, norm2, gamma, plan, config.epsilon)
-    a = np.zeros(tau.shape[0])
-    for t, _, inc, _, _ in steps:
-        a[t] += inc
-    trace = [TraceStep(t if labels is None else labels[t], kind, inc, step_max, l2)
-             for t, kind, inc, step_max, l2 in steps]
-    return a, trace, max_abs <= config.epsilon
+    norm2 = np.einsum("ij,ij->i", tau, tau).tolist()
+    plan = _sweep_plan(schedule, revisits, skipped, config.extra_sweeps)
+    return _sweep(list(tau), norm2, gamma, plan, config.epsilon, range(len(tau)) if labels is None else labels)
 
 
-def _shape_first(tau, targets, config, revisit, labels=None):
+def _shape_first(tau, targets, config, revisits, labels=None):
     """The shape-first driver behind both approximation fitters.
 
     Rows of ``tau`` are visited in order.  Rows whose squared norm is at most
     ``DEGENERATE_TERM_REL`` times the sample count are skipped and dropped
-    from the revisit lists; ``revisit(t)`` gives the rows revisited after
-    visiting t, in reverse preference order.  The skip set and revisit lists
-    are built once; then each of ``targets`` (right-hand sides over the same
-    samples) is swept in turn, lazily, yielding its coefficients by row and
-    its FitReport, whose skipped terms carry ``labels`` when given.
+    from the revisit lists; ``revisits[t]`` lists the rows revisited after
+    visiting t, in reverse preference order.  The skip set and the sweep
+    plan are built once; then each of ``targets`` (right-hand sides over the
+    same samples) is swept along it in turn, lazily, yielding its
+    coefficients by row and its FitReport, whose skipped terms carry
+    ``labels`` when given.
     """
     norm2 = np.einsum("ij,ij->i", tau, tau)
     skipped = frozenset(int(t) for t in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * tau.shape[1]))
-    schedule = list(range(tau.shape[0]))
-    revisits = {t: [k for k in revisit(t) if k not in skipped] for t in schedule}
-    named = [t if labels is None else labels[t] for t in sorted(skipped)]
+    schedule = range(tau.shape[0])
+    revisits = [[k for k in revisits[t] if k not in skipped] for t in schedule]
+    plan = _sweep_plan(schedule, revisits, skipped, config.extra_sweeps)
+    labels = schedule if labels is None else labels
+    named = [labels[t] for t in sorted(skipped)]
+    rows, norm2 = list(tau), norm2.tolist()
     for gamma in targets:
-        a, trace, converged = projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels)
+        a, trace, converged = _sweep(rows, norm2, gamma, plan, config.epsilon, labels)
         yield a, _report(trace, a, converged, named, gamma)
 
 
@@ -268,7 +324,7 @@ def cvb_approximate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     not raised.
     """
     tau = cheb_columns(samples.x, config.max_terms).T
-    a, report = next(_shape_first(tau, [samples.y], config, lambda j: range(j - 1, -1, -1)))
+    a, report = next(_shape_first(tau, [samples.y], config, [range(j - 1, -1, -1) for j in range(len(tau))]))
     return ChebModel1D(coeffs=a, xmap=xmap), report
 
 

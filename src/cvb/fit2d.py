@@ -82,12 +82,8 @@ def _coeff_array(model: ChebModel2D, ni: int, nj: int) -> np.ndarray:
     return c
 
 
-def visit_order(n: int) -> list[TermIndex2D]:
-    """All term labels with i + j < n in preference order.
-
-    Lower total degree goes first; ties are broken by smaller min(i, j), then
-    by smaller i.  The result is a deterministic total order of n(n+1)/2 terms.
-    """
+def _visit_indices(n: int):
+    """The i and j index arrays of ``visit_order(n)``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     # Within total degree d the order is i = 0, d, 1, d - 1, ...  The index
@@ -96,7 +92,31 @@ def visit_order(n: int) -> list[TermIndex2D]:
     d = np.repeat(np.arange(n), np.arange(1, n + 1))
     k = np.arange(d.size) - d * (d + 1) // 2
     i = np.where(k % 2 == 0, k // 2, d - k // 2)
-    return list(map(TermIndex2D, i.tolist(), (d - i).tolist()))
+    return i, d - i
+
+
+def visit_order(n: int) -> list[TermIndex2D]:
+    """All term labels with i + j < n in preference order.
+
+    Lower total degree goes first; ties are broken by smaller min(i, j), then
+    by smaller i.  The result is a deterministic total order of n(n+1)/2 terms.
+    """
+    i, j = _visit_indices(n)
+    return list(map(TermIndex2D, i.tolist(), j.tolist()))
+
+
+def _revisit_plan(n: int) -> list[list[int]]:
+    """``revisit_set`` of every term of ``visit_order(n)``, as positions in that order.
+
+    After term (i, j), the earlier terms (a, b) with a <= i and b <= j, in
+    reverse visit order.  One boolean matrix over the index arrays marks
+    them all, and reading its rows right to left yields each list in order.
+    """
+    i, j = _visit_indices(n)
+    dominated = (i[:, None] >= i) & (j[:, None] >= j) & np.tri(i.size, k=-1, dtype=bool)
+    latest_first = (i.size - 1 - np.nonzero(dominated[:, ::-1])[1]).tolist()
+    ends = np.cumsum(np.count_nonzero(dominated, axis=1)).tolist()
+    return [latest_first[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def revisit_set(last: TermIndex2D, order: list[TermIndex2D]) -> list[TermIndex2D]:
@@ -141,9 +161,7 @@ def cvb_approximate_2d(
 def _approximate_2d(samples: SampleSet2D, targets, config: FitConfig, xmap: DomainMap, ymap: DomainMap):
     """Lazily, ``cvb_approximate_2d`` of each of ``targets`` on one term matrix and revisit plan."""
     order = visit_order(config.max_terms)
-    pos = {t: p for p, t in enumerate(order)}
-    fits = _shape_first(term_matrix(samples, order), targets, config,
-                        lambda p: [pos[t] for t in revisit_set(order[p], order)], labels=order)
+    fits = _shape_first(term_matrix(samples, order), targets, config, _revisit_plan(config.max_terms), labels=order)
     for a, report in fits:
         coeffs = {t: float(c) for t, c in zip(order, a) if c != 0.0}
         yield ChebModel2D(coeffs=coeffs, xmap=xmap, ymap=ymap, degree_bound=config.max_terms), report

@@ -111,7 +111,11 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
         # one sample set, term matrix and revisit plan per direction, swept once per target
         samples = SampleSet2D(x=normed[a], y=normed[b], z=columns[targets[0]])
         fits = _approximate_2d(samples, [columns[k] for k in targets], cfg, maps[a], maps[b])
-        for name, (model, report) in zip(names, fits):
+        for name, k in zip(names, targets):
+            try:
+                model, report = next(fits)
+            except FitError as exc:
+                raise FitError(f"sub-fit {name} (column {'uvXY'[k]}): {exc}") from None
             if not model.coeffs and not report.converged:
                 raise FitError(f"sub-fit {name} is degenerate: no usable terms")
             models[name] = model

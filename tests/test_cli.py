@@ -752,8 +752,19 @@ def test_a_fit_whose_residual_leaves_the_float_range_is_refused_by_name(tmp_path
     written = ("--out", str(out)) if argv[0] == "calibrate" else ("--trace", str(out))
     code, stdout, stderr = run(capsys, *argv, flag, str(data), *written)
     assert (code, stdout) == (EXIT_VALIDATION, "")
-    assert stderr == (f"error: the fit residual leaves the float range (±1.798e+308) "
+    sub_fit = "sub-fit fwd_x (column X): " if argv[0] == "calibrate" else ""
+    assert stderr == (f"error: {sub_fit}the fit residual leaves the float range (±1.798e+308) "
                       f"on data whose largest |value| is {largest}\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_names_the_sub_fit_and_column_whose_residual_leaves_the_float_range(tmp_path, capsys):
+    pairs, out = tmp_path / "pairs.csv", tmp_path / "model.json"
+    pairs.write_text("u,v,X,Y\n0,0,1.7e308,0\n1,0,0,1\n0,1,1.7e308,2\n1,1,0,3\n2,0,1.7e308,4\n2,2,0,5\n")
+    code, stdout, stderr = run(capsys, "calibrate", "--degree-bound", "2", "--pairs", str(pairs), "--out", str(out))
+    assert (code, stdout) == (EXIT_VALIDATION, "")
+    assert stderr.startswith("error: sub-fit fwd_x (column X): the fit residual leaves the float range")
     assert not out.exists()
 
 

@@ -2,12 +2,14 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cvb.basis import SampleSet1D, cheb_columns, cheb_zeros
 from cvb.fit1d import (
+    _STEP_BLOCK,
     DEGENERATE_TERM_REL,
     ChebModel1D,
     FitConfig,
@@ -585,6 +587,9 @@ def noisy_runge(seed, m=200):
 CROWDED = SampleSet1D(x=np.linspace(-1.0, -0.8, 12), y=np.sin(5 * np.linspace(-1.0, -0.8, 12)))
 
 
+CURVE_FITS = {"interp": (cvb_interpolate, oracle_interpolate), "approx": (cvb_approximate, oracle_approximate_1d)}
+
+
 class TestEngineBits:
     """Every trace field, coefficient, skipped set and stop flag keeps the oracle's bits."""
 
@@ -651,3 +656,70 @@ class TestEngineBits:
         assert report.skipped and {step.kind for step in report.trace} == {"visit", "revisit"}
         _, report = cvb_approximate(SampleSet1D(x=[0.0], y=[3.0]), FitConfig(epsilon=0.0, max_terms=3))
         assert report.skipped == (1,)
+
+    # the projection loop takes its residual statistics in blocks of _STEP_BLOCK steps
+
+    @pytest.mark.parametrize("fit", ["interp", "approx"])
+    @pytest.mark.parametrize("samples, config", [
+        (noisy_runge(5), FitConfig(epsilon=0.0, max_terms=_STEP_BLOCK + 2)),
+        (noisy_runge(6), FitConfig(epsilon=0.0, max_terms=2 * _STEP_BLOCK + 5)),
+        (noisy_runge(7), FitConfig(epsilon=0.0, max_terms=_STEP_BLOCK + 3, extra_sweeps=1)),
+        (SampleSet1D(x=cheb_zeros(13), y=runge(cheb_zeros(13))), FitConfig(epsilon=0.0, max_terms=13)),
+        (SampleSet1D(x=[0.25], y=[-2.0]), FitConfig(epsilon=0.0, max_terms=1)),
+    ], ids=["chain-over-a-block", "chains-over-two-blocks", "extra-sweeps", "odd-m", "m-1"])
+    def test_curve_fits_across_blocks(self, fit, samples, config):
+        fitter, oracle = CURVE_FITS[fit]
+        model, report = fitter(samples, config)
+        self.assert_same_bits(model.coeffs, report, oracle(samples, config))
+
+    @pytest.mark.parametrize("samples, config", [
+        # term (5, 6) revisits 41 earlier terms, so its chain fills a block
+        (cloud(6, m=300), FitConfig(epsilon=0.0, max_terms=12)),
+        (cloud(7, m=301), FitConfig(epsilon=0.0, max_terms=11, extra_sweeps=1)),
+        (cloud(8, m=13), FitConfig(epsilon=0.0, max_terms=4)),
+        (SampleSet2D(x=[0.1], y=[0.2], z=[1.5]), FitConfig(epsilon=0.0, max_terms=2)),
+    ], ids=["chain-over-a-block", "extra-sweeps", "odd-m", "m-1"])
+    def test_surface_fits_across_blocks(self, samples, config):
+        model, report = cvb_approximate_2d(samples, config)
+        coeffs = [model.coeffs.get(t, 0.0) for t in visit_order(config.max_terms)]
+        self.assert_same_bits(coeffs, report, oracle_approximate_2d(samples, config))
+
+    def test_epsilon_stop_on_the_first_visit_after_a_full_block(self):
+        x = cheb_zeros(300)
+        samples = SampleSet1D(x=x, y=1 / (1 + 25 * (x - 0.1) ** 2))
+        # visit K - 1 and its K - 1 revisits fill a block; epsilon is the max|delta| they leave
+        full = sum(range(1, _STEP_BLOCK + 1))
+        _, report = cvb_approximate(samples, FitConfig(epsilon=0.0, max_terms=40))
+        config = FitConfig(epsilon=report.trace[full - 1].max_abs_residual, max_terms=40)
+        model, report = cvb_approximate(samples, config)
+        assert len(report.trace) == full and report.converged
+        self.assert_same_bits(model.coeffs, report, oracle_approximate_1d(samples, config))
+
+    @pytest.mark.parametrize("fit", ["interp", "approx"])
+    def test_an_overflow_inside_a_block_raises_the_one_step_error(self, fit):
+        # the first residual, 1e308 T_1, is finite, but its dot with T_1 is 2.5e308
+        samples = SampleSet1D(x=[-1.0, -0.5, 0.5, 1.0], y=[-1e308, -0.5e308, 0.5e308, 1e308])
+        config = FitConfig(epsilon=0.0, max_terms=4)
+        fitter, oracle = CURVE_FITS[fit]
+        with np.errstate(all="ignore"):
+            l2 = [step[4] for step in oracle(samples, config)[1]]
+        first = next(k for k, value in enumerate(l2) if not math.isfinite(value))
+        assert 0 < first < len(l2) - 1  # the block holds finite steps before it and steps after it
+        message = "the fit residual leaves the float range (±1.798e+308) on data whose largest |value| is 1e+308"
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+            fitter(samples, config)
+
+    def test_memory_beyond_the_term_matrix_grows_with_m_alone(self):
+        # the residual block of _STEP_BLOCK + 1 rows and one |gamma| temporary
+        for m in (4000, 8000):
+            x = 0.999 * np.cos(np.linspace(0.0, np.pi, m))
+            samples = SampleSet1D(x=x, y=np.sin(4 * x))
+            for n in (6, 24):
+                tracemalloc.start()
+                try:
+                    cvb_approximate(samples, FitConfig(epsilon=0.0, max_terms=n))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                beyond = peak - n * m * 8
+                assert abs(beyond - (_STEP_BLOCK + 2) * m * 8) < 32 * 1024, (m, n, beyond)

@@ -15,6 +15,7 @@ from cvb.fit2d import (
     SampleSet2D,
     TermIndex2D,
     _grid_factors,
+    _revisit_plan,
     cvb_approximate_2d,
     eval_model_2d,
     revisit_set,
@@ -98,6 +99,13 @@ class TestRevisitSet:
             positions = [pos[t] for t in rev]
             assert positions == sorted(positions, reverse=True)
             assert all(p < pos[last] for p in positions)
+
+
+    def test_the_fitters_revisit_plan_is_revisit_set_by_position(self):
+        for n in range(1, 31):
+            order = visit_order(n)
+            pos = {t: p for p, t in enumerate(order)}
+            assert _revisit_plan(n) == [[pos[t] for t in revisit_set(last, order)] for last in order], n
 
 
 class TestApproximate2D:

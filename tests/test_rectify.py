@@ -333,14 +333,15 @@ class TestSharedSetUp:
             CalibrationModel(meta=meta, **{name: fit[0] for name, fit in separate.items()}))
 
     def test_set_up_is_built_once_per_direction(self, monkeypatch):
-        built = {"SampleSet2D": 0, "term_matrix": 0, "revisit_set": 0}
+        built = {"SampleSet2D": 0, "term_matrix": 0, "revisit_plan": 0, "sweep_plan": 0}
 
         monkeypatch.setattr(rectify, "SampleSet2D", counted(built, "SampleSet2D", SampleSet2D))
         monkeypatch.setattr(fit2d, "term_matrix", counted(built, "term_matrix", term_matrix))
-        monkeypatch.setattr(fit2d, "revisit_set", counted(built, "revisit_set", fit2d.revisit_set))
+        monkeypatch.setattr(fit2d, "_revisit_plan", counted(built, "revisit_plan", fit2d._revisit_plan))
+        monkeypatch.setattr(fit1d, "_sweep_plan", counted(built, "sweep_plan", fit1d._sweep_plan))
         calibrate(gen_correspondences(ORACLE), FWD_CONFIG, inverse_config=INV_CONFIG)
-        # one revisit list per term of the schedule, in each of the two plans
-        assert built == {"SampleSet2D": 2, "term_matrix": 2, "revisit_set": 2 * len(visit_order(8))}
+        # one revisit plan and one flat step list per direction, each shared by its two targets
+        assert built == {"SampleSet2D": 2, "term_matrix": 2, "revisit_plan": 2, "sweep_plan": 2}
 
     @pytest.mark.parametrize("first, later", [("fwd_x", ()), ("fwd_y", ("inv_v",)), ("inv_v", ())])
     def test_the_first_degenerate_sub_fit_is_named(self, monkeypatch, first, later):
@@ -354,7 +355,7 @@ class TestSharedSetUp:
         built = {"term_matrix": 0, "sweeps": 0}
 
         monkeypatch.setattr(fit2d, "term_matrix", counted(built, "term_matrix", term_matrix))
-        monkeypatch.setattr(fit1d, "projection_sweeps", counted(built, "sweeps", fit1d.projection_sweeps))
+        monkeypatch.setattr(fit1d, "_sweep", counted(built, "sweeps", fit1d._sweep))
         with pytest.raises(FitError, match=f"sub-fit {first} is degenerate: no usable terms"):
             calibrate(pairs, FitConfig(epsilon=0.0, max_terms=1))
         # no sub-fit after the first failing one is swept, and no inverse set-up follows a forward failure
