@@ -62,7 +62,7 @@ def _read_csv(path, columns):
                     values = [float(v) for v in row]
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: non-numeric field in {row}") from None
-                if not all(np.isfinite(values)):
+                if not all(map(math.isfinite, values)):
                     raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
                 rows.append(values)
                 lines.append(lineno)
@@ -108,7 +108,7 @@ def cmd_gen(args) -> int:
             samples = gen_humped_flat()
         else:
             samples = gen_noisy_line(args.seed)
-        rows = list(zip(samples.x, samples.y))
+        rows = list(zip(samples.x.tolist(), samples.y.tolist()))
         _write_csv(args.out, ("x", "y"), rows)
     print(len(rows))
     return EXIT_OK
@@ -147,7 +147,7 @@ def cmd_fit1d(args) -> int:
         _write_trace(args.trace, report, model.n)
     if args.sample:
         xs = np.linspace(xmap.lo, xmap.hi, int(args.sample[0]))
-        _write_csv(args.sample[1], ("x", "P(x)"), zip(xs, eval_model_1d(model, xs)))
+        _write_csv(args.sample[1], ("x", "P(x)"), zip(xs.tolist(), eval_model_1d(model, xs).tolist()))
     if not report.converged:
         print(f"converged=false (max-abs residual above epsilon={_fmt(args.epsilon)})", file=sys.stderr)
         if args.strict:
@@ -214,7 +214,7 @@ def cmd_apply(args) -> int:
     model = _load_model_file(args.model)
     data, lines = _read_csv(args.points, ("u", "v"))
     X, Y = _map_rows(model, args.points, data, lines)
-    _write_csv(args.out, ("u", "v", "X", "Y"), np.column_stack((data, X, Y)))
+    _write_csv(args.out, ("u", "v", "X", "Y"), np.column_stack((data, X, Y)).tolist())
     print(len(data))
     return EXIT_OK
 

@@ -10,6 +10,7 @@ documentation only and never converted internally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -54,7 +55,7 @@ class Correspondence(_Row):
     def __new__(cls, u, v, X, Y):
         row = super().__new__(cls, float(u), float(v), float(X), float(Y))
         for name, value in zip(cls._fields, row):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"correspondence field {name} must be finite")
         return row
 
@@ -211,7 +212,7 @@ def warp_image(model: CalibrationModel, image: np.ndarray, out_spec: WarpSpec, f
 
 def _fmt(value: float) -> str:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
     return format(value, ".17g")
 
@@ -263,7 +264,7 @@ def _load_real(value, context: str) -> float:
         real = float(value)
     except OverflowError:  # an integer literal beyond the float range
         real = float("inf")
-    if not np.isfinite(real):
+    if not math.isfinite(real):
         raise ModelParseError(f"{context} must be finite, got {value!r}")
     return real
 

@@ -672,6 +672,69 @@ class TestNonFiniteOutput:
         assert stderr.startswith("error: cannot serialize non-finite value")
 
 
+# float64 edge values, integral ones among them; each cell is also written negated
+EDGE_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 2.0**53 + 2, 2.0**53, 1.0, 3.0,
+               100.0, 1e22, 2.0**70, 0.1, 1 / 3, 123456.789]
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("row, got", [("3,4,5", 3), ("3", 1)])
+    def test_a_row_of_another_field_count_is_named_by_its_line(self, identity_model, tmp_path, capsys, row, got):
+        pts, out = tmp_path / "pts.csv", tmp_path / "mapped.csv"
+        pts.write_text(f"u,v\n1,2\n\n{row}\n")
+        code, stdout, stderr = run(capsys, "apply", "--model", str(identity_model), "--points", str(pts),
+                                   "--out", str(out))
+        assert (code, stdout, stderr) == (EXIT_VALIDATION, "", f"error: {pts}:4: expected 2 fields, got {got}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf)])
+    def test_a_non_finite_cell_is_refused_before_the_file_is_created(self, tmp_path, value):
+        from cvb.cli import _write_csv
+
+        out = tmp_path / "rows.csv"
+        message = f"cannot serialize non-finite value {float(value)!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _write_csv(out, ("a", "b"), [[1.0, 2.0], [3.0, value]])
+        assert not out.exists()
+
+    def test_python_and_numpy_floats_render_as_17_significant_digits(self, tmp_path):
+        from cvb.cli import _write_csv
+
+        rows = [[v, -v] for v in EDGE_FLOATS]
+        expect = "a,b\n" + "".join("%.17g,%.17g\n" % (v, w) for v, w in rows)
+        for name, cells in (("python", rows), ("numpy", np.array(rows))):
+            path = tmp_path / f"{name}.csv"
+            _write_csv(path, ("a", "b"), cells)
+            assert path.read_bytes() == expect.encode(), name
+        # every cell reads back with the bits it was written from, the sign of zero included
+        lines = expect.splitlines()[1:]
+        assert [float(c).hex() for line in lines for c in line.split(",")] == [v.hex() for r in rows for v in r]
+
+    def test_apply_makes_no_numpy_call_per_cell(self, identity_model, tmp_path, capsys, monkeypatch):
+        # np.isfinite checks whole arrays; CSV rows and written cells are checked as plain floats,
+        # so its call count must not grow with the row count
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        rng = np.random.default_rng(4)
+        counts = []
+        for n in (50, 2000):
+            pts, out = tmp_path / f"pts{n}.csv", tmp_path / f"mapped{n}.csv"
+            pts.write_text("u,v\n" + "".join(f"{u!r},{v!r}\n" for u, v in zip(rng.uniform(0, 16, n).tolist(),
+                                                                               rng.uniform(0, 12, n).tolist())))
+            calls.clear()
+            code, stdout, _ = run(capsys, "apply", "--model", str(identity_model), "--points", str(pts),
+                                  "--out", str(out))
+            assert (code, stdout) == (EXIT_OK, f"{n}\n")
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
 @pytest.fixture
 def default_model(tmp_path, capsys):
     """The default calibration: ``gen correspondences`` then ``calibrate``."""

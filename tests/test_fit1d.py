@@ -19,6 +19,7 @@ from cvb.fit1d import (
     cvb_approximate,
     cvb_interpolate,
     eval_model_1d,
+    projection_sweeps,
 )
 from cvb.fit2d import SampleSet2D, cvb_approximate_2d, revisit_set, term_matrix, visit_order
 from cvb.orthogonalize import orthogonalize
@@ -656,6 +657,39 @@ class TestEngineBits:
         assert report.skipped and {step.kind for step in report.trace} == {"visit", "revisit"}
         _, report = cvb_approximate(SampleSet1D(x=[0.0], y=[3.0]), FitConfig(epsilon=0.0, max_terms=3))
         assert report.skipped == (1,)
+
+    @pytest.mark.parametrize("samples, config", [
+        (SampleSet1D(x=[0.0], y=[3.0]), FitConfig(epsilon=0.0, max_terms=3, extra_sweeps=2)),
+        (noisy_runge(4), FitConfig(epsilon=0.05, max_terms=25)),
+        (noisy_runge(3), FitConfig(epsilon=0.0, max_terms=12, extra_sweeps=2)),
+        (cloud(5, flat_y=True), FitConfig(epsilon=0.0, max_terms=5, extra_sweeps=2)),
+        (cloud(4), FitConfig(epsilon=0.1, max_terms=8)),
+        (cloud(3), FitConfig(epsilon=0.0, max_terms=6, extra_sweeps=2)),
+    ], ids=["curve-skip", "curve-epsilon-stop", "curve-extra-sweeps",
+            "surface-skip", "surface-epsilon-stop", "surface-extra-sweeps"])
+    def test_projection_sweeps_replays_the_fitters(self, samples, config):
+        # the schedule, revisits and skipped rows built as perfbench's traced
+        # replay builds them: from revisit_set and DEGENERATE_TERM_REL
+        if isinstance(samples, SampleSet1D):
+            model, report = cvb_approximate(samples, config)
+            tau, gamma, labels, coeffs = cheb_columns(samples.x, config.max_terms).T, samples.y, None, model.coeffs
+            earlier = {j: range(j - 1, -1, -1) for j in range(len(tau))}
+        else:
+            model, report = cvb_approximate_2d(samples, config)
+            labels = visit_order(config.max_terms)
+            tau, gamma = term_matrix(samples, labels), samples.z
+            coeffs = [model.coeffs.get(t, 0.0) for t in labels]
+            pos = {t: p for p, t in enumerate(labels)}
+            earlier = {p: [pos[t] for t in revisit_set(labels[p], labels)] for p in range(len(tau))}
+        norm2 = np.einsum("ij,ij->i", tau, tau)
+        skipped = frozenset(int(t) for t in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * gamma.size))
+        schedule = list(range(len(tau)))
+        revisits = {t: [k for k in earlier[t] if k not in skipped] for t in schedule}
+        a, trace, converged = projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=labels)
+        assert trace_bits(trace) == trace_bits(report.trace)
+        assert bits(a) == bits(coeffs)
+        assert converged == report.converged
+        assert [(labels or schedule)[t] for t in sorted(skipped)] == list(report.skipped)
 
     # the projection loop takes its residual statistics in blocks of _STEP_BLOCK steps
 

@@ -756,6 +756,31 @@ class TestLoadModelRejectsNonReals:
         assert map_point(model, 5.0, 5.0) == (3.0, 1.0)
 
 
+def _edited(path, value):
+    """``_document()`` with the field at ``path`` (keys from the root) set to ``value``."""
+    doc = json.loads(_document())
+    record = doc
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+    return json.dumps(doc)
+
+
+class TestLoadModelRejectsBadStructure:
+    @pytest.mark.parametrize("document, message", [
+        ("[1, 2]", "document root must be an object"),
+        ("0.5", "document root must be an object"),
+        (_edited(["fwd_y"], [1.0]), "sub-model 'fwd_y' must be an object"),
+        (_edited(["inv_u", "terms"], {"0": 1.0}), "inv_u.terms must be a list"),
+        (_edited(["fwd_x", "xmap"], [10, 10]), "bad fwd_x.xmap: domain requires hi > lo, got [10.0, 10.0]"),
+        (_edited(["inv_v", "ymap"], [10, -5.5]), "bad inv_v.ymap: domain requires hi > lo, got [10.0, -5.5]"),
+    ], ids=["list-root", "number-root", "sub-model", "terms", "xmap-empty", "ymap-reversed"])
+    def test_names_the_field(self, document, message):
+        with pytest.raises(ModelParseError) as caught:
+            load_model(document)
+        assert str(caught.value) == message
+
+
 def unblocked_surface(sub, x, y):
     """One surface over the whole batch at once, the sum before blocking.
 
