@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Wall time and minor page faults per call of cvb's array-heavy operations.
+
+Each operation runs once to warm, then ``--repeats`` times; the script prints
+the median wall time and the median count of minor page faults
+(``getrusage(RUSAGE_SELF).ru_minflt``) per call.  A fault count near zero
+means the call reuses memory the process already has; hundreds mean it maps
+fresh pages each time.  Inputs are seeded and built from ``cvb.synthetic``
+at the sizes of the perfbench workloads (``--size full``: a 2,000-point
+cloud with degree bound 12, a 16x12 calibration grid, a 640x480 warp and
+100,000 mapped points), or much smaller with ``--size tiny``.
+
+    python3 scripts/fault_probe.py [--size tiny] [--repeats 11] [--seed 1]
+"""
+
+import argparse
+import resource
+import statistics
+import time
+import warnings
+
+import numpy as np
+
+from cvb import ExtrapolationWarning, FitConfig, WarpSpec, calibrate, cvb_approximate_2d, map_point, warp_image
+from cvb.fit2d import SampleSet2D, term_matrix, visit_order
+from cvb.synthetic import DistortionParams, distort
+
+SIZES = {
+    # cloud points, degree bound, calibration grid, warp output, mapped points
+    "full": (2000, 12, (16, 12), (640, 480), 100_000),
+    "tiny": (150, 10, (8, 6), (64, 48), 2000),
+}
+PARAMS = DistortionParams()
+WINDOW = (-448.0, 448.0, -336.0, 336.0)
+
+
+def inputs(size, seed):
+    cloud_m, n2d, (nx, ny), (out_w, out_h), points = SIZES[size]
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-1.0, 1.0, cloud_m), rng.uniform(-1.0, 1.0, cloud_m)
+    samples = SampleSet2D(x=x, y=y, z=np.sin(3 * x) * np.cos(2 * y) + 0.01 * rng.standard_normal(cloud_m))
+    width, height = PARAMS.image_size
+    half_x, half_y = width / 2 / PARAMS.scale, height / 2 / PARAMS.scale
+    gx, gy = np.meshgrid(np.linspace(-0.85 * half_x, 0.85 * half_x, nx), np.linspace(-0.85 * half_y, 0.85 * half_y, ny))
+    X = gx.ravel() + rng.uniform(-5.0, 5.0, gx.size)
+    Y = gy.ravel() + rng.uniform(-5.0, 5.0, gy.size)
+    pairs = np.column_stack([*distort(PARAMS, X, Y), X, Y])
+    image = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    pu, pv = rng.uniform(0.0, width, points), rng.uniform(0.0, height, points)
+    return samples, n2d, pairs, image, WarpSpec(out_w, out_h, WINDOW), pu, pv
+
+
+def probe(fn, repeats):
+    """Median wall time (ms) and median minor faults of ``repeats`` calls after one warm call."""
+    fn()
+    times, faults = [], []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - start) * 1e3)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return statistics.median(times), statistics.median(faults)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", choices=sorted(SIZES), default="full")
+    parser.add_argument("--repeats", type=int, default=11)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be positive")
+
+    # the mapped points cover the whole frame, beyond the calibrated grid
+    warnings.simplefilter("ignore", ExtrapolationWarning)
+    samples, n2d, pairs, image, spec, pu, pv = inputs(args.size, args.seed)
+    order = visit_order(n2d)
+    full, early = FitConfig(epsilon=0.0, max_terms=n2d), FitConfig(epsilon=0.05, max_terms=n2d)
+    fwd, inv = FitConfig(epsilon=0.5, max_terms=8), FitConfig(epsilon=0.25, max_terms=8)
+    model = calibrate(pairs, fwd, inverse_config=inv)
+    operations = (
+        (f"term_matrix ({len(order)} terms, m={samples.m})", lambda: term_matrix(samples, order)),
+        ("cvb_approximate_2d full", lambda: cvb_approximate_2d(samples, full)),
+        ("cvb_approximate_2d early stop", lambda: cvb_approximate_2d(samples, early)),
+        (f"calibrate ({len(pairs)} pairs)", lambda: calibrate(pairs, fwd, inverse_config=inv)),
+        (f"warp_image ({spec.width}x{spec.height})", lambda: warp_image(model, image, spec)),
+        (f"map_point ({pu.size} points)", lambda: map_point(model, pu, pv)),
+    )
+    print(f"{'operation':40s} {'median_ms':>10s} {'minor_faults':>12s}")
+    for name, fn in operations:
+        ms, faults = probe(fn, args.repeats)
+        print(f"{name:40s} {ms:10.3f} {faults:12g}")
+
+
+if __name__ == "__main__":
+    main()

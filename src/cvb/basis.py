@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 # How far a sample |x| may overshoot 1 before it is refused instead of clamped.
 CLAMP_TOL = 1e-12
@@ -37,9 +36,17 @@ class DomainMap:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def forward(self, x):
+    def forward(self, x, out=None, scratch=None):
+        """x mapped to the basis interval; written into ``out`` if given.
+
+        With ``out`` and ``scratch`` (float arrays of x's shape, distinct
+        from x) nothing is allocated and ``scratch`` is overwritten.
+        """
         # Grouped so that forward(lo) == -1.0 and forward(hi) == +1.0 exactly.
-        return ((x - self.lo) + (x - self.hi)) / (self.hi - self.lo)
+        t = np.subtract(x, self.lo, out=out)
+        t += np.subtract(x, self.hi, out=scratch)
+        t /= self.hi - self.lo
+        return t
 
     def contains(self, x):
         pad = 1e-12 * (self.hi - self.lo)
@@ -152,11 +159,41 @@ def cheb_zeros(n: int) -> np.ndarray:
     return np.cos((2 * j - 1) * np.pi / (2 * n))
 
 
+def _cheb_rows(t, rows, twice) -> None:
+    """Write T_0..T_{n-1} at the 1-D array t into the n rows of ``rows``, in place.
+
+    The operations and their order are ``chebvander``'s: with s = t + 0.0,
+    T_0 = s*0 + 1, T_1 = s and T_k = T_{k-1}*(2s) - T_{k-2}, so every value
+    has its bits, inf, NaN and -0.0 included.  ``twice`` (t's size) holds 2s
+    when n > 2; t may be ``twice`` itself, but no row of ``rows``.
+    """
+    n = len(rows)
+    s = rows[min(n - 1, 1)]
+    np.add(t, 0.0, out=s)
+    np.multiply(s, 0, out=rows[0])
+    rows[0] += 1
+    if n > 2:
+        np.multiply(s, 2, out=twice)
+    for k in range(2, n):
+        np.multiply(rows[k - 1], twice, out=rows[k])
+        rows[k] -= rows[k - 2]
+
+
 def cheb_columns(x, count: int) -> np.ndarray:
-    """Matrix whose column j holds T_j evaluated at x, for j = 0..count-1."""
+    """Matrix whose column j holds T_j evaluated at x, for j = 0..count-1.
+
+    Shape x.shape + (count,), with a scalar x taken as one point.  A
+    transposed view of the rows ``_cheb_rows`` writes, so ``.T`` of a 1-D
+    x's columns is C-contiguous with row j holding T_j.
+    """
     if count < 1:
         raise ValueError("count must be positive")
-    return _cheb.chebvander(np.asarray(x, dtype=float), count - 1)
+    x = np.asarray(x, dtype=float)
+    shape = x.shape or (1,)
+    t = x.ravel()
+    rows = np.empty((count, t.size))
+    _cheb_rows(t, rows, np.empty(t.size) if count > 2 else None)
+    return np.moveaxis(rows.reshape((count, *shape)), 0, -1)
 
 
 def warn_if_extrapolating(xmap: DomainMap, x, axis: str = "x", stacklevel: int = 3) -> bool:

@@ -61,7 +61,12 @@ def _read_csv(path, columns):
                 try:
                     values = [float(v) for v in row]
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric field in {row}") from None
+                    values = None
+                # float() also reads digit-group underscores and non-ASCII digits,
+                # which no CSV number holds: one test of the whole row refuses them
+                cells = "".join(row)
+                if values is None or "_" in cells or not cells.isascii():
+                    raise ValueError(f"{path}:{lineno}: non-numeric field in {row}")
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
                 rows.append(values)

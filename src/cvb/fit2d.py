@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import IDENTITY_MAP, DomainMap, _validate_samples, cheb_columns, warn_if_extrapolating
+from .basis import IDENTITY_MAP, DomainMap, _cheb_rows, _validate_samples, cheb_columns, warn_if_extrapolating
 from .fit1d import FitConfig, _shape_first
 
 
@@ -134,11 +134,20 @@ def revisit_set(last: TermIndex2D, order: list[TermIndex2D]) -> list[TermIndex2D
 
 
 def term_matrix(samples: SampleSet2D, order: list[TermIndex2D]) -> np.ndarray:
-    """Rows of tensor term vectors tau[i, j] at the samples, one per order entry."""
+    """Rows of tensor term vectors tau[i, j] at the samples, one per order entry.
+
+    The result is allocated once and each row is one product of two
+    Chebyshev rows written into it; its last row holds 2t while those rows
+    are built, so beyond the result only the 2n rows are allocated.
+    """
     n = 1 + max(max(t.i for t in order), max(t.j for t in order))
-    vx = cheb_columns(samples.x, n)
-    vy = cheb_columns(samples.y, n)
-    return np.array([vx[:, t.i] * vy[:, t.j] for t in order])
+    tau = np.empty((len(order), samples.m))
+    vx, vy = np.empty((n, samples.m)), np.empty((n, samples.m))
+    _cheb_rows(samples.x, vx, tau[-1])
+    _cheb_rows(samples.y, vy, tau[-1])
+    for row, (i, j) in zip(tau, order):
+        np.multiply(vx[i], vy[j], out=row)
+    return tau
 
 
 def cvb_approximate_2d(
@@ -199,11 +208,13 @@ def _eval_points(models, x, y):
     """Evaluate the surfaces ``models`` at the raw points (x, y) of one shape.
 
     Columns follow ``_column_plan`` (which also warns) and are built over
-    blocks of ``_BLOCK`` points.  Each surface sums c * Vx[:, i] * Vy[:, j]
-    in visit order with elementwise steps, and T_k has the same bits however
-    many columns are built, so a value depends only on its own point and
-    surface.  Returns per surface a float for scalar input, else an array of
-    the input's shape.
+    blocks of ``_BLOCK`` points.  Each (axis, map) has one buffer of rows
+    for the whole call: per block, ``forward`` writes t in place and
+    ``_cheb_rows`` builds T_0..T_{n-1} over it, so nothing is allocated per
+    block.  Each surface sums c * Vx[i] * Vy[j] in visit order with
+    elementwise steps, and T_k has the same bits however many rows are
+    built, so a value depends only on its own point and surface.  Returns
+    per surface a float for scalar input, else an array of the input's shape.
     """
     if np.shape(x) != np.shape(y):
         raise ValueError(f"x and y must share one shape, got {np.shape(x)} and {np.shape(y)}")
@@ -212,19 +223,24 @@ def _eval_points(models, x, y):
     m = coords["x"].size
     values = [np.zeros(m) for _ in models]
     scratch = np.empty(min(m, _BLOCK))
+    rows = {key: np.empty((n, scratch.size)) for key, n in counts.items()}
     # far outside a fit, columns and sums leave the float range; callers
     # refuse or fill the inf and NaN values, so numpy need not warn of them
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, _BLOCK):
             stop = min(start + _BLOCK, m)
-            cols = {(axis, dmap): cheb_columns(dmap.forward(coords[axis][start:stop]), n)
-                    for (axis, dmap), n in counts.items()}
             term = scratch[: stop - start]
+            cols = {}
+            for (axis, dmap), buf in rows.items():
+                cols[axis, dmap] = v = buf[:, : stop - start]
+                # t goes to the scratch, which then holds 2t; row 0 is T_0's
+                dmap.forward(coords[axis][start:stop], out=term, scratch=v[0])
+                _cheb_rows(term, v, term)
             for model, value in zip(models, values):
                 vx, vy, out = cols["x", model.xmap], cols["y", model.ymap], value[start:stop]
                 for (i, j), c in model.coeffs.items():
-                    np.multiply(vx[:, i], c, out=term)
-                    term *= vy[:, j]
+                    np.multiply(vx[i], c, out=term)
+                    term *= vy[j]
                     out += term
     if np.ndim(x) == 0:
         return tuple(float(value[0]) for value in values)

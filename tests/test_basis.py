@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial.chebyshev import chebvander
 
 from cvb.basis import (
     MIN_NODE_GAP,
@@ -79,6 +81,34 @@ class TestChebEval:
     @given(st.integers(0, 40), st.floats(-1.0, 1.0))
     def test_bounded_by_one(self, j, x):
         assert abs(column(j, [x])[0]) <= 1.0 + 1e-9
+
+
+# values where a recurrence's bits are easiest to lose: signed zeros, the
+# float range's ends, subnormals, inf and NaN
+EDGE_X = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+          1.0, -1.0, 0.5]
+edge_floats = st.sampled_from(EDGE_X) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+shapes = st.sampled_from([()]) | st.tuples(st.integers(0, 9)) | st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+class TestChebvanderOracle:
+    """``cheb_columns`` has numpy's ``chebvander`` shape and bits for any input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), x=shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=edge_floats)))
+    def test_bit_for_bit(self, n, x):
+        with np.errstate(all="ignore"):  # inf and NaN inputs, overflowing orders
+            got, want = cheb_columns(x, n), chebvander(x, n - 1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_edge_value_at_every_order(self, n):
+        x = np.array(EDGE_X)
+        with np.errstate(all="ignore"):
+            for arg in (x, x.reshape(1, -1), *x.tolist()):
+                got, want = cheb_columns(arg, n), chebvander(arg, n - 1)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestChebZeros:

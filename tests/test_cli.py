@@ -710,6 +710,23 @@ class TestCsvCells:
         lines = expect.splitlines()[1:]
         assert [float(c).hex() for line in lines for c in line.split(",")] == [v.hex() for r in rows for v in r]
 
+    @pytest.mark.parametrize("cell", ["1_0", "\uff13", "\u0663", "1\u00a0", "\u20072"])
+    def test_a_cell_only_python_float_reads_is_non_numeric(self, tmp_path, capsys, cell):
+        # digit-group underscores, fullwidth and Arabic-Indic digits, non-ASCII spaces
+        data = tmp_path / "u.csv"
+        data.write_text(f"x,y\n1,1\n2,2\n3,{cell}\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(data))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == f"error: {data}:4: non-numeric field in ['3', {cell!r}]\n"
+
+    def test_an_underscored_number_is_refused_where_it_stands(self, identity_model, tmp_path, capsys):
+        data, out = tmp_path / "u.csv", tmp_path / "mapped.csv"
+        data.write_text("u,v\n1_0,1\n2,2\n")
+        code, _, stderr = run(capsys, "apply", "--model", str(identity_model), "--points", str(data),
+                              "--out", str(out))
+        assert (code, stderr) == (EXIT_VALIDATION, f"error: {data}:2: non-numeric field in ['1_0', '1']\n")
+        assert not out.exists()
+
     def test_apply_makes_no_numpy_call_per_cell(self, identity_model, tmp_path, capsys, monkeypatch):
         # np.isfinite checks whole arrays; CSV rows and written cells are checked as plain floats,
         # so its call count must not grow with the row count

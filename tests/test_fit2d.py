@@ -323,6 +323,38 @@ class TestDistinctPairs:
         assert not builds(np.append(x, x[-77]), np.append(y, y[-77]))
 
 
+class TestTermMatrix:
+    def test_rows_are_products_of_chebyshev_columns(self):
+        rng = np.random.default_rng(6)
+        s = SampleSet2D(x=rng.uniform(-1, 1, 40), y=rng.uniform(-1, 1, 40), z=np.zeros(40))
+        order = visit_order(7)
+        tau = term_matrix(s, order)
+        vx, vy = C.chebvander(s.x, 6), C.chebvander(s.y, 6)
+        assert tau.flags.c_contiguous and tau.shape == (len(order), 40)
+        assert tau.tobytes() == np.array([vx[:, i] * vy[:, j] for i, j in order]).tobytes()
+
+    @pytest.mark.parametrize("order", [[T(0, 0)], [T(3, 0)], [T(0, 4), T(1, 1)]])
+    def test_any_order_of_terms(self, order):
+        s = SampleSet2D(x=[0.3, -0.8, 0.9], y=[-0.2, 0.6, 1.0], z=[0.0, 0.0, 0.0])
+        vx, vy = C.chebvander(s.x, 4), C.chebvander(s.y, 4)
+        assert term_matrix(s, order).tolist() == [(vx[:, i] * vy[:, j]).tolist() for i, j in order]
+
+    def test_memory_is_the_result_and_the_column_rows(self):
+        # the result is allocated once and filled row by row, so nothing the
+        # size of the result is held beside it
+        rng = np.random.default_rng(7)
+        m, n = 2000, 12
+        s = SampleSet2D(x=rng.uniform(-1, 1, m), y=rng.uniform(-1, 1, m), z=np.zeros(m))
+        order = visit_order(n)
+        tracemalloc.start()
+        try:
+            tau = term_matrix(s, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tau.nbytes + 2 * n * m * 8 + 16 * 2**10
+
+
 class TestIncrementalResidual2D:
     def test_replayed_trace_matches_full_recompute(self):
         # surface traces carry no snapshots: rebuild the coefficients from the increments

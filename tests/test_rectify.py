@@ -947,6 +947,28 @@ def test_map_point_memory_is_linear_in_the_outputs_only():
     assert peak <= X.nbytes + Y.nbytes + 4 * 2**20
 
 
+@pytest.mark.parametrize("blocks", [3, 30])
+def test_map_point_builds_its_columns_once_per_call(blocks):
+    """Beyond its two results, map_point holds one buffer of Chebyshev rows
+    per axis map and one block of scratch, however many blocks it runs.
+
+    Columns built afresh for each block would hold a second set beside the
+    buffers, with its temporaries.
+    """
+    rng = np.random.default_rng(12)
+    frame_u, frame_v = DomainMap(-6.4, 646.4), DomainMap(-4.8, 484.8)
+    model = loaded(*(random_surface(rng, 8, frame_u, frame_v) for _ in range(4)))
+    u, v = rng.uniform(0.0, 640.0, blocks * _BLOCK), rng.uniform(0.0, 480.0, blocks * _BLOCK)
+    tracemalloc.start()
+    try:
+        X, Y = map_point(model, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 2 * 8 * _BLOCK * 8  # T_0..T_7 for the u and the v map
+    assert peak - X.nbytes - Y.nbytes <= rows + _BLOCK * 8 + 16 * 2**10
+
+
 def warp_axes(spec):
     """World coordinates of the output pixel centers, as ``warp_image`` lays them out."""
     x0, x1, y0, y1 = spec.window

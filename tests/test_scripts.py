@@ -56,3 +56,17 @@ def test_pathological_curves(tmp_path):
     assert len(overshoot) == 4, proc.stdout
     for data in ("humped_flat", "noisy_line"):
         assert overshoot[data, "approx"] < overshoot[data, "interp"]
+
+
+def test_fault_probe(tmp_path):
+    # output format only: timings and fault counts depend on the machine
+    proc = run_script("fault_probe.py", "--size", "tiny", "--repeats", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["operation", "median_ms", "minor_faults"]
+    names = [re.match(r"(\w+)", line).group(1) for line in lines[1:]]
+    assert names == ["term_matrix", "cvb_approximate_2d", "cvb_approximate_2d", "calibrate", "warp_image",
+                     "map_point"]
+    for line in lines[1:]:
+        ms, faults = line.split()[-2:]
+        assert float(ms) >= 0.0 and float(faults) >= 0.0
