@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ class DomainMap:
 
     def __post_init__(self):
         lo, hi = float(self.lo), float(self.hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("domain bounds must be finite")
         if not hi > lo:
             raise ValueError(f"domain requires hi > lo, got [{lo}, {hi}]")

@@ -38,6 +38,20 @@ EXIT_NOT_CONVERGED = 3
 GEN_KINDS = ("runge", "humped-flat", "noisy-line", "correspondences")
 
 
+def _numbers(texts, kind=float):
+    """``kind`` of each string, or None unless all are plain ASCII numbers.
+
+    float() and int() also read "1_0" and "５"; one test of the joined strings refuses them.
+    """
+    joined = "".join(texts)
+    if "_" in joined or not joined.isascii():
+        return None
+    try:
+        return [kind(t) for t in texts]
+    except ValueError:
+        return None
+
+
 def _read_csv(path, columns):
     """Strict CSV reader: exact header, one float per declared column.
 
@@ -58,14 +72,8 @@ def _read_csv(path, columns):
                     continue
                 if len(row) != len(columns):
                     raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
-                try:
-                    values = [float(v) for v in row]
-                except ValueError:
-                    values = None
-                # float() also reads digit-group underscores and non-ASCII digits,
-                # which no CSV number holds: one test of the whole row refuses them
-                cells = "".join(row)
-                if values is None or "_" in cells or not cells.isascii():
+                values = _numbers(row)
+                if values is None:
                     raise ValueError(f"{path}:{lineno}: non-numeric field in {row}")
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
@@ -139,8 +147,12 @@ def _write_trace(path, report, n_coeffs=0):
 
 
 def cmd_fit1d(args) -> int:
-    if args.sample and int(args.sample[0]) < 2:
-        raise ValueError("--sample needs at least 2 points")
+    if args.sample:
+        count = _numbers(args.sample[:1], int)
+        if count is None:
+            raise ValueError(f"--sample N must be an integer, got {args.sample[0]!r}")
+        if count[0] < 2:
+            raise ValueError("--sample needs at least 2 points")
     if args.algorithm == "interp" and args.extra_sweeps > 0:
         raise ValueError("--extra-sweeps does not apply to --algorithm interp: interpolation is one fixed pass")
     samples, xmap = _load_samples_1d(args.input)
@@ -151,7 +163,7 @@ def cmd_fit1d(args) -> int:
     if args.trace:
         _write_trace(args.trace, report, model.n)
     if args.sample:
-        xs = np.linspace(xmap.lo, xmap.hi, int(args.sample[0]))
+        xs = np.linspace(xmap.lo, xmap.hi, count[0])
         _write_csv(args.sample[1], ("x", "P(x)"), zip(xs.tolist(), eval_model_1d(model, xs).tolist()))
     if not report.converged:
         print(f"converged=false (max-abs residual above epsilon={_fmt(args.epsilon)})", file=sys.stderr)
@@ -209,7 +221,7 @@ def _map_rows(model, path, data, lines):
     bad = np.flatnonzero(~(np.isfinite(X) & np.isfinite(Y)))
     if bad.size:
         k = bad[0]
-        name, value = ("X", X[k]) if not np.isfinite(X[k]) else ("Y", Y[k])
+        name, value = ("X", X[k]) if not math.isfinite(X[k]) else ("Y", Y[k])
         raise ValueError(f"cannot serialize non-finite value {name}={float(value)!r}: "
                          f"{_point(path, data, lines, k)} maps beyond the float range")
     return X, Y
@@ -224,28 +236,27 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text, count, what):
-    parts = text.split(",")
-    if len(parts) != count:
-        raise ValueError(f"{what} needs {count} comma-separated values, got {text!r}")
-    return [float(p) for p in parts]
-
-
 def _parse_fill(text, channels):
     """--fill as one 0-255 value, or one per channel of the input image."""
     parts = text.split(",")
-    if not all(p.strip().isdecimal() and int(p) <= 255 for p in parts):
+    values = _numbers(parts, int)
+    # int() also reads a sign, which isdecimal() refuses
+    if values is None or not all(p.strip().isdecimal() and v <= 255 for p, v in zip(parts, values)):
         raise ValueError(f"--fill values must be integers in 0-255, got {text!r}")
     if len(parts) not in (1, channels):
         raise ValueError(f"--fill has {len(parts)} values but the image has {channels} channel(s)")
-    values = [int(p) for p in parts]
     return values[0] if len(values) == 1 else np.array(values, dtype=np.uint8)
 
 
 def cmd_warp(args) -> int:
     model = _load_model_file(args.model)
     image = read_image(args.input)
-    window = _parse_floats(args.window, 4, "--window")
+    parts = args.window.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"--window needs 4 comma-separated values, got {args.window!r}")
+    window = _numbers(parts)
+    if window is None:
+        raise ValueError(f"--window values must be numbers, got {args.window!r}")
     width = args.width if args.width is not None else image.shape[1]
     height = args.height if args.height is not None else image.shape[0]
     fill = 0 if args.fill is None else _parse_fill(args.fill, 1 if image.ndim == 2 else image.shape[2])

@@ -2,11 +2,12 @@
 
 Two fitters share the machinery: an exact interpolation that projects the
 error vector on an orthogonalized copy of the term vectors, and a shape-first
-approximation that projects on the raw term vectors in preference order with
-reverse-order revisits after every new term.  Both run one loop, ``_project``,
-whose steps are serial (each projects the residual the previous one left),
-while the residual statistics of the trace are taken in blocks of at most
-``_STEP_BLOCK`` steps.
+approximation that projects on the raw term vectors in preference order and,
+after each new term, revisits the earlier terms it dominates, latest first
+(every lower degree: the one plan rule, which ``fit2d`` reuses for surfaces).
+Both run one loop, ``_project``, whose steps are serial (each projects the
+residual the previous one left), while the residual statistics of the trace
+are taken in blocks of at most ``_STEP_BLOCK`` steps.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class FitConfig:
     extra_sweeps: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
@@ -252,13 +253,6 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     return ChebModel1D(coeffs=a, xmap=xmap), report
 
 
-def _sweep_plan(schedule, revisits, skipped, extra_sweeps):
-    """The flat (k, kind) step list of ``1 + extra_sweeps`` passes over the schedule."""
-    sweep = [step for t in schedule if t not in skipped
-             for step in ((t, "visit"), *((k, "revisit") for k in revisits[t]))]
-    return sweep * (extra_sweeps + 1)
-
-
 def _sweep(rows, norm2, gamma, plan, epsilon, labels):
     """One target's pass along ``plan``: (coefficients, trace, converged).
 
@@ -274,39 +268,41 @@ def _sweep(rows, norm2, gamma, plan, epsilon, labels):
 
 
 def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=None):
-    """Shared visit/revisit engine for both approximation fitters.
+    """The visit/revisit engine of both approximation fitters, on an explicit plan.
 
     ``schedule`` lists row positions of ``tau`` in visit order and
     ``revisits[t]`` the positions revisited after visiting t, already in
     reverse preference order; ``labels``, if given, maps them to trace labels.
     Each step projects the error vector on tau_t (see ``_project``); the
     trace stores no coefficients (they are the running sum of the increments,
-    added in step order).  Returns (coefficients, trace, converged).
+    added in step order).  Returns (coefficients, trace, converged).  This
+    replay and reference path takes the plan as literal lists; the fitters
+    read it from a dominance matrix (``_shape_first``).
     """
+    plan = [step for t in schedule if t not in skipped
+            for step in ((t, "visit"), *((k, "revisit") for k in revisits[t]))] * (config.extra_sweeps + 1)
     norm2 = np.einsum("ij,ij->i", tau, tau).tolist()
-    plan = _sweep_plan(schedule, revisits, skipped, config.extra_sweeps)
     return _sweep(list(tau), norm2, gamma, plan, config.epsilon, range(len(tau)) if labels is None else labels)
 
 
-def _shape_first(tau, targets, config, revisits, labels=None):
+def _shape_first(tau, targets, config, dominated, labels):
     """The shape-first driver behind both approximation fitters.
 
-    Rows of ``tau`` are visited in order.  Rows whose squared norm is at most
-    ``DEGENERATE_TERM_REL`` times the sample count are skipped and dropped
-    from the revisit lists; ``revisits[t]`` lists the rows revisited after
-    visiting t, in reverse preference order.  The skip set and the sweep
-    plan are built once; then each of ``targets`` (right-hand sides over the
-    same samples) is swept along it in turn, lazily, yielding its
-    coefficients by row and its FitReport, whose skipped terms carry
-    ``labels`` when given.
+    ``dominated[t]`` marks row t of ``tau`` and the earlier rows it dominates.
+    Rows whose squared norm is at most ``DEGENERATE_TERM_REL`` times the
+    sample count are skipped, their rows and columns masked; each row left,
+    read right to left, is one visit and its revisits.  Each of ``targets``
+    is swept along that one plan, lazily, yielding its coefficients by row
+    and its FitReport, whose skipped terms carry their ``labels``.
     """
     norm2 = np.einsum("ij,ij->i", tau, tau)
-    skipped = frozenset(int(t) for t in np.flatnonzero(norm2 <= DEGENERATE_TERM_REL * tau.shape[1]))
-    schedule = range(tau.shape[0])
-    revisits = [[k for k in revisits[t] if k not in skipped] for t in schedule]
-    plan = _sweep_plan(schedule, revisits, skipped, config.extra_sweeps)
-    labels = schedule if labels is None else labels
-    named = [labels[t] for t in sorted(skipped)]
+    skipped = norm2 <= DEGENERATE_TERM_REL * tau.shape[1]
+    visit, column = np.nonzero((dominated & ~skipped & ~skipped[:, None])[:, ::-1])
+    term = len(tau) - 1 - column
+    # the two kind literals are shared by every step, not one new str per step
+    kinds = [("revisit", "visit")[v] for v in (term == visit).tolist()]
+    plan = list(zip(term.tolist(), kinds)) * (config.extra_sweeps + 1)
+    named = [labels[t] for t in np.flatnonzero(skipped).tolist()]
     rows, norm2 = list(tau), norm2.tolist()
     for gamma in targets:
         a, trace, converged = _sweep(rows, norm2, gamma, plan, config.epsilon, labels)
@@ -324,7 +320,7 @@ def cvb_approximate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     not raised.
     """
     tau = cheb_columns(samples.x, config.max_terms).T
-    a, report = next(_shape_first(tau, [samples.y], config, [range(j - 1, -1, -1) for j in range(len(tau))]))
+    a, report = next(_shape_first(tau, [samples.y], config, np.tri(len(tau), dtype=bool), range(len(tau))))
     return ChebModel1D(coeffs=a, xmap=xmap), report
 
 

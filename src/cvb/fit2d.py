@@ -3,11 +3,13 @@
 The coefficient array is triangular (a[i, j] = 0 for i + j >= n, bounding
 total degree by n - 1).  Terms are visited lowest degree first; after each
 visit only componentwise-dominated earlier terms are revisited, in reverse
-visit order.
+visit order: the curve fitter's rule, where (a, b) is dominated by (i, j),
+and so visited no later, when a <= i and b <= j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +67,7 @@ class ChebModel2D:
             idx = TermIndex2D(int(key[0]), int(key[1]))
             if idx.i < 0 or idx.j < 0 or idx.i + idx.j >= self.degree_bound:
                 raise ValueError(f"term {idx} violates the triangular bound i + j < {self.degree_bound}")
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"coefficient for {idx} is not finite")
             clean[idx] = float(value)
         object.__setattr__(self, "coeffs", {t: clean[t] for t in sorted(clean, key=_visit_key)})
@@ -103,20 +105,6 @@ def visit_order(n: int) -> list[TermIndex2D]:
     """
     i, j = _visit_indices(n)
     return list(map(TermIndex2D, i.tolist(), j.tolist()))
-
-
-def _revisit_plan(n: int) -> list[list[int]]:
-    """``revisit_set`` of every term of ``visit_order(n)``, as positions in that order.
-
-    After term (i, j), the earlier terms (a, b) with a <= i and b <= j, in
-    reverse visit order.  One boolean matrix over the index arrays marks
-    them all, and reading its rows right to left yields each list in order.
-    """
-    i, j = _visit_indices(n)
-    dominated = (i[:, None] >= i) & (j[:, None] >= j) & np.tri(i.size, k=-1, dtype=bool)
-    latest_first = (i.size - 1 - np.nonzero(dominated[:, ::-1])[1]).tolist()
-    ends = np.cumsum(np.count_nonzero(dominated, axis=1)).tolist()
-    return [latest_first[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def revisit_set(last: TermIndex2D, order: list[TermIndex2D]) -> list[TermIndex2D]:
@@ -168,9 +156,10 @@ def cvb_approximate_2d(
 
 
 def _approximate_2d(samples: SampleSet2D, targets, config: FitConfig, xmap: DomainMap, ymap: DomainMap):
-    """Lazily, ``cvb_approximate_2d`` of each of ``targets`` on one term matrix and revisit plan."""
-    order = visit_order(config.max_terms)
-    fits = _shape_first(term_matrix(samples, order), targets, config, _revisit_plan(config.max_terms), labels=order)
+    """Lazily, ``cvb_approximate_2d`` of each of ``targets`` on one term matrix and sweep plan."""
+    i, j = _visit_indices(config.max_terms)
+    order = list(map(TermIndex2D, i.tolist(), j.tolist()))
+    fits = _shape_first(term_matrix(samples, order), targets, config, (i[:, None] >= i) & (j[:, None] >= j), order)
     for a, report in fits:
         coeffs = {t: float(c) for t, c in zip(order, a) if c != 0.0}
         yield ChebModel2D(coeffs=coeffs, xmap=xmap, ymap=ymap, degree_bound=config.max_terms), report

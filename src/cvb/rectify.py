@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import MIN_NODE_GAP, DomainMap, _has_close_pair, auto_map
+from .basis import MIN_NODE_GAP, DomainMap, auto_map
 from .fit1d import FitConfig, FitError
 from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _approximate_2d, _eval_points, _grid_factors
 
@@ -102,15 +102,17 @@ def calibrate(pairs, config: FitConfig, inverse_config: Optional[FitConfig] = No
     # (what, sub-fit names, coordinate columns, target columns, config)
     directions = (("pixel (u, v)", ("fwd_x", "fwd_y"), (0, 1), (2, 3), config),
                   ("world (X, Y)", ("inv_u", "inv_v"), (2, 3), (0, 1), inverse_config or config))
-    for what, _, (a, b), _, _ in directions:
-        if _has_close_pair(normed[a], normed[b]):
-            raise ValueError(f"duplicate {what} pair: two normalized pairs lie within {MIN_NODE_GAP}")
+    sample_sets = []
+    for what, _, (a, b), targets, _ in directions:
+        try:
+            sample_sets.append(SampleSet2D(x=normed[a], y=normed[b], z=columns[targets[0]]))
+        except ValueError:  # the columns are finite and normalized: only the distinct-pair rule can refuse
+            raise ValueError(f"duplicate {what} pair: two normalized pairs lie within {MIN_NODE_GAP}") from None
 
     models = {}
     stats = {}
-    for _, names, (a, b), targets, cfg in directions:
-        # one sample set, term matrix and revisit plan per direction, swept once per target
-        samples = SampleSet2D(x=normed[a], y=normed[b], z=columns[targets[0]])
+    for (_, names, (a, b), targets, cfg), samples in zip(directions, sample_sets):
+        # one sample set, term matrix and sweep plan per direction, swept once per target
         fits = _approximate_2d(samples, [columns[k] for k in targets], cfg, maps[a], maps[b])
         for name, k in zip(names, targets):
             try:
@@ -152,7 +154,7 @@ class WarpSpec:
             raise ValueError("output size must be positive")
         x0, x1, y0, y1 = (float(w) for w in self.window)
         # pixel centers are x0 + (k + 0.5) * (x1 - x0) / width
-        if not np.all(np.isfinite([x0, x1, y0, y1, (x1 - x0) * self.width, (y1 - y0) * self.height])):
+        if not all(map(math.isfinite, (x0, x1, y0, y1, (x1 - x0) * self.width, (y1 - y0) * self.height))):
             raise ValueError(f"world window {self.window} must have finite bounds and span")
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"degenerate world window {self.window}")

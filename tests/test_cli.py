@@ -563,8 +563,9 @@ class TestWarpFill:
         return run(capsys, "warp", "--model", str(model), "--input", str(src), "--output", str(out),
                    "--window=-8,16,0,12", "--width", "24", f"--fill={fill}")
 
+    # "５", "٣" and "1_0" are what int() reads beyond plain ASCII digits
     @pytest.mark.parametrize("fill", ["300", "256", "-1", "1.5", "abc", "", " ", "0x10", "1e2",
-                                      "1,2", "1,2,3,4", "1,,3", "1,2,300", "²"])
+                                      "1,2", "1,2,3,4", "1,,3", "1,2,300", "²", "\uff15", "\u0663", "1_0", "1,2_0,3"])
     def test_bad_fill_is_validation_error(self, identity_model, frame, tmp_path, capsys, fill):
         kind, src = frame
         out = tmp_path / "out.img"
@@ -726,6 +727,24 @@ class TestCsvCells:
                               "--out", str(out))
         assert (code, stderr) == (EXIT_VALIDATION, f"error: {data}:2: non-numeric field in ['1_0', '1']\n")
         assert not out.exists()
+
+    # --window and --sample N take plain ASCII numbers as the CSV cells do, and a refusal names the flag
+
+    @pytest.mark.parametrize("window", ["-3_00,300,-200,200", "\uff10,16,0,12", "0,16,0,1\u00a0"])
+    def test_a_window_only_python_float_reads_is_refused(self, identity_model, tmp_path, capsys, window):
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_image(src, np.zeros((12, 16), dtype=np.uint8))
+        code, _, stderr = run(capsys, "warp", "--model", str(identity_model), "--input", str(src),
+                              "--output", str(dst), f"--window={window}")
+        assert (code, stderr) == (EXIT_VALIDATION, f"error: --window values must be numbers, got {window!r}\n")
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("count", ["\uff13", "1_0", "3.0", "x"])
+    def test_a_sample_count_only_python_int_reads_is_refused(self, quad_csv, tmp_path, capsys, count):
+        curve = tmp_path / "s.csv"
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(quad_csv), "--sample", count, str(curve))
+        assert (code, stdout, stderr) == (EXIT_VALIDATION, "", f"error: --sample N must be an integer, got {count!r}\n")
+        assert not curve.exists()
 
     def test_apply_makes_no_numpy_call_per_cell(self, identity_model, tmp_path, capsys, monkeypatch):
         # np.isfinite checks whole arrays; CSV rows and written cells are checked as plain floats,

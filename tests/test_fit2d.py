@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import chebyshev as C
 
-from cvb.basis import MIN_NODE_GAP, DomainMap, ExtrapolationWarning, cheb_zeros
-from cvb.fit1d import FitConfig
+from cvb import fit1d
+from cvb.basis import MIN_NODE_GAP, DomainMap, ExtrapolationWarning, SampleSet1D, cheb_zeros
+from cvb.fit1d import FitConfig, cvb_approximate
 from cvb.fit2d import (
     ChebModel2D,
     SampleSet2D,
     TermIndex2D,
     _grid_factors,
-    _revisit_plan,
     cvb_approximate_2d,
     eval_model_2d,
     revisit_set,
@@ -101,11 +101,63 @@ class TestRevisitSet:
             assert all(p < pos[last] for p in positions)
 
 
-    def test_the_fitters_revisit_plan_is_revisit_set_by_position(self):
+
+class TestSweepPlan:
+    """The plan each fitter sweeps, held to the literal visit/revisit rule.
+
+    After visiting a term the fitters revisit, latest first, the earlier
+    terms it dominates: every lower degree of a curve, every term of a
+    surface that ``revisit_set`` names.  Skipped terms are neither visited
+    nor revisited, and extra sweeps repeat the whole pass.
+    """
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        plans = []
+
+        def sweep(rows, norm2, gamma, plan, epsilon, labels):
+            plans.append(plan)
+            return np.zeros(len(rows)), [], False  # only the plan is under test
+
+        monkeypatch.setattr(fit1d, "_sweep", sweep)
+        return plans
+
+    @staticmethod
+    def literal(revisits, skipped, extra_sweeps):
+        sweep = []
+        for t, earlier in enumerate(revisits):
+            if t not in skipped:
+                sweep += [(t, "visit")] + [(k, "revisit") for k in earlier if k not in skipped]
+        return sweep * (extra_sweeps + 1)
+
+    def test_surface_plan_is_revisit_set_by_position(self, plans):
+        rng = np.random.default_rng(20)
         for n in range(1, 31):
             order = visit_order(n)
             pos = {t: p for p, t in enumerate(order)}
-            assert _revisit_plan(n) == [[pos[t] for t in revisit_set(last, order)] for last in order], n
+            revisits = [[pos[t] for t in revisit_set(last, order)] for last in order]
+            x = rng.uniform(-1.0, 1.0, 40)
+            # at y = 0 every T_j(y) of odd j is 0, so those terms are skipped
+            for y, skipped in ((rng.uniform(-1.0, 1.0, 40), set()), (np.zeros(40), {pos[t] for t in order if t.j % 2})):
+                samples = SampleSet2D(x=x, y=y, z=np.sin(3 * x) + y)
+                for extra_sweeps in (0, 2):
+                    _, report = cvb_approximate_2d(samples, FitConfig(0.0, n, extra_sweeps))
+                    assert [pos[t] for t in report.skipped] == sorted(skipped)
+                    assert plans == [self.literal(revisits, skipped, extra_sweeps)], (n, skipped, extra_sweeps)
+                    plans.clear()
+
+    def test_curve_plan_revisits_every_lower_degree(self, plans):
+        x = cheb_zeros(100)
+        # at the one sample x = 0 every T_j of odd j is 0, so those terms are skipped
+        for samples in (SampleSet1D(x=x, y=np.sin(3 * x)), SampleSet1D(x=[0.0], y=[3.0])):
+            for n in range(1, 81):
+                skipped = set(range(1, n, 2)) if samples.m == 1 else set()
+                for extra_sweeps in (0, 2):
+                    _, report = cvb_approximate(samples, FitConfig(0.0, n, extra_sweeps))
+                    assert list(report.skipped) == sorted(skipped)
+                    revisits = [range(j - 1, -1, -1) for j in range(n)]
+                    assert plans == [self.literal(revisits, skipped, extra_sweeps)], (n, skipped, extra_sweeps)
+                    plans.clear()
 
 
 class TestApproximate2D:

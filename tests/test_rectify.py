@@ -333,15 +333,22 @@ class TestSharedSetUp:
             CalibrationModel(meta=meta, **{name: fit[0] for name, fit in separate.items()}))
 
     def test_set_up_is_built_once_per_direction(self, monkeypatch):
-        built = {"SampleSet2D": 0, "term_matrix": 0, "revisit_plan": 0, "sweep_plan": 0}
+        built = {"SampleSet2D": 0, "term_matrix": 0}
+        plans = []  # held, so no two plans share an id
+        fit1d_sweep = fit1d._sweep
+
+        def sweep(rows, norm2, gamma, plan, epsilon, labels):
+            plans.append(plan)
+            return fit1d_sweep(rows, norm2, gamma, plan, epsilon, labels)
 
         monkeypatch.setattr(rectify, "SampleSet2D", counted(built, "SampleSet2D", SampleSet2D))
         monkeypatch.setattr(fit2d, "term_matrix", counted(built, "term_matrix", term_matrix))
-        monkeypatch.setattr(fit2d, "_revisit_plan", counted(built, "revisit_plan", fit2d._revisit_plan))
-        monkeypatch.setattr(fit1d, "_sweep_plan", counted(built, "sweep_plan", fit1d._sweep_plan))
+        monkeypatch.setattr(fit1d, "_sweep", sweep)
         calibrate(gen_correspondences(ORACLE), FWD_CONFIG, inverse_config=INV_CONFIG)
-        # one revisit plan and one flat step list per direction, each shared by its two targets
-        assert built == {"SampleSet2D": 2, "term_matrix": 2, "revisit_plan": 2, "sweep_plan": 2}
+        # one sweep plan per direction, shared by its two targets
+        assert built == {"SampleSet2D": 2, "term_matrix": 2}
+        assert len(plans) == 4 and len({id(plan) for plan in plans}) == 2
+        assert plans[0] is plans[1] and plans[2] is plans[3]
 
     @pytest.mark.parametrize("first, later", [("fwd_x", ()), ("fwd_y", ("inv_v",)), ("inv_v", ())])
     def test_the_first_degenerate_sub_fit_is_named(self, monkeypatch, first, later):

@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_script(name, *args):
     src = str(Path(cvb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    # a numpy RuntimeWarning fails a script as it fails the tests (pyproject's filterwarnings)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_rectification_demo(tmp_path):
