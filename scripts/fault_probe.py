@@ -7,8 +7,10 @@ the median wall time and the median count of minor page faults
 means the call reuses memory the process already has; hundreds mean it maps
 fresh pages each time.  Inputs are seeded and built from ``cvb.synthetic``
 at the sizes of the perfbench workloads (``--size full``: a 2,000-point
-cloud with degree bound 12, a 16x12 calibration grid, a 640x480 warp and
-100,000 mapped points), or much smaller with ``--size tiny``.
+cloud with degree bound 12, a 16x12 calibration grid, a 640x480 warp,
+100,000 mapped points, and the CLI's text files: the 640x480 RGB plain PPM
+that ``cvb warp`` reads and the 5,000-row CSV that ``cvb apply`` writes), or
+much smaller with ``--size tiny`` (the raster keeps the camera's size).
 
     python3 scripts/fault_probe.py [--size tiny] [--repeats 11] [--seed 1]
 """
@@ -16,26 +18,30 @@ cloud with degree bound 12, a 16x12 calibration grid, a 640x480 warp and
 import argparse
 import resource
 import statistics
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 
 from cvb import ExtrapolationWarning, FitConfig, WarpSpec, calibrate, cvb_approximate_2d, map_point, warp_image
+from cvb.cli import _write_csv
 from cvb.fit2d import SampleSet2D, term_matrix, visit_order
+from cvb.ppm import read_image, write_image
 from cvb.synthetic import DistortionParams, distort
 
 SIZES = {
-    # cloud points, degree bound, calibration grid, warp output, mapped points
-    "full": (2000, 12, (16, 12), (640, 480), 100_000),
-    "tiny": (150, 10, (8, 6), (64, 48), 2000),
+    # cloud points, degree bound, calibration grid, warp output, mapped points, CSV rows
+    "full": (2000, 12, (16, 12), (640, 480), 100_000, 5000),
+    "tiny": (150, 10, (8, 6), (64, 48), 2000, 100),
 }
 PARAMS = DistortionParams()
 WINDOW = (-448.0, 448.0, -336.0, 336.0)
 
 
 def inputs(size, seed):
-    cloud_m, n2d, (nx, ny), (out_w, out_h), points = SIZES[size]
+    cloud_m, n2d, (nx, ny), (out_w, out_h), points, _ = SIZES[size]
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(-1.0, 1.0, cloud_m), rng.uniform(-1.0, 1.0, cloud_m)
     samples = SampleSet2D(x=x, y=y, z=np.sin(3 * x) * np.cos(2 * y) + 0.01 * rng.standard_normal(cloud_m))
@@ -79,6 +85,11 @@ def main():
     full, early = FitConfig(epsilon=0.0, max_terms=n2d), FitConfig(epsilon=0.05, max_terms=n2d)
     fwd, inv = FitConfig(epsilon=0.5, max_terms=8), FitConfig(epsilon=0.25, max_terms=8)
     model = calibrate(pairs, fwd, inverse_config=inv)
+    rows = SIZES[args.size][-1]
+    table = np.column_stack([pu[:rows], pv[:rows], *map_point(model, pu[:rows], pv[:rows])])
+    scratch = Path(tempfile.mkdtemp())
+    plain, csv_path = scratch / "plain.ppm", scratch / "mapped.csv"
+    write_image(plain, image, plain=True)
     operations = (
         (f"term_matrix ({len(order)} terms, m={samples.m})", lambda: term_matrix(samples, order)),
         ("cvb_approximate_2d full", lambda: cvb_approximate_2d(samples, full)),
@@ -86,11 +97,19 @@ def main():
         (f"calibrate ({len(pairs)} pairs)", lambda: calibrate(pairs, fwd, inverse_config=inv)),
         (f"warp_image ({spec.width}x{spec.height})", lambda: warp_image(model, image, spec)),
         (f"map_point ({pu.size} points)", lambda: map_point(model, pu, pv)),
+        (f"write_image plain ({image.shape[1]}x{image.shape[0]} RGB)", lambda: write_image(plain, image, plain=True)),
+        (f"read_image plain ({image.shape[1]}x{image.shape[0]} RGB)", lambda: read_image(plain)),
+        (f"_write_csv ({rows} rows u,v,X,Y)", lambda: _write_csv(csv_path, ("u", "v", "X", "Y"), table)),
     )
     print(f"{'operation':40s} {'median_ms':>10s} {'minor_faults':>12s}")
-    for name, fn in operations:
-        ms, faults = probe(fn, args.repeats)
-        print(f"{name:40s} {ms:10.3f} {faults:12g}")
+    try:
+        for name, fn in operations:
+            ms, faults = probe(fn, args.repeats)
+            print(f"{name:40s} {ms:10.3f} {faults:12g}")
+    finally:
+        for path in (plain, csv_path):
+            path.unlink(missing_ok=True)
+        scratch.rmdir()
 
 
 if __name__ == "__main__":

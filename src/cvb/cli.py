@@ -17,7 +17,6 @@ import numpy as np
 from .basis import SampleSet1D, auto_map
 from .fit1d import FitConfig, FitError, _scale_exponent, cvb_approximate, cvb_interpolate, eval_model_1d
 from .fit2d import SampleSet2D, cvb_approximate_2d
-from .ppm import read_image, write_image
 from .rectify import (
     ModelParseError,
     WarpSpec,
@@ -28,7 +27,6 @@ from .rectify import (
     save_model,
     warp_image,
 )
-from .synthetic import DistortionParams, gen_correspondences, gen_humped_flat, gen_noisy_line, gen_runge
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,48 +50,109 @@ def _numbers(texts, kind=float):
         return None
 
 
+def _number(kind):
+    """An argparse ``type=`` reading one plain ASCII number, by the rule of ``_numbers``."""
+
+    def parse(text):
+        value = _numbers([text], kind)
+        if value is None:
+            raise ValueError(text)  # argparse names the flag: "invalid int value: '...'"
+        return value[0]
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose refusals raise, so that ``main`` reports them as validation errors."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _read_csv(path, columns):
     """Strict CSV reader: exact header, one float per declared column.
 
     Returns the rows as an array and the file line of each row (blank lines
-    are skipped, so a row's index is not its line).
+    are skipped, so a row's index is not its line).  The whole table is
+    parsed and checked at once; only when that refuses are the rows walked
+    in order, so that the first bad row is the one named.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            if [h.strip() for h in header] != list(columns):
-                raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {','.join(header)!r}")
-            rows, lines = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(columns):
-                    raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
-                values = _numbers(row)
-                if values is None:
-                    raise ValueError(f"{path}:{lineno}: non-numeric field in {row}")
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
-                rows.append(values)
-                lines.append(lineno)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if [h.strip() for h in header] != list(columns):
+            raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {','.join(header)!r}")
+        # a read error is raised once the rows before it are checked, as a row-by-row read would
+        records, read_error = [], None
+        try:
+            for record in reader:
+                records.append(record)
+        except csv.Error as exc:
+            read_error = ValueError(f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:  # raised where the undecodable bytes are read
+            read_error = exc
+    lines = [lineno for lineno, row in enumerate(records, start=2) if row]
+    rows = [row for row in records if row]
+    data = None
+    if read_error is None and all(len(row) == len(columns) for row in rows):
+        values = _numbers([cell for row in rows for cell in row])
+        if values is not None:
+            data = np.array(values).reshape(len(rows), len(columns))
+    if data is None or not np.isfinite(data).all():
+        _refuse_rows(path, columns, rows, lines)
+        if read_error is not None:
+            raise read_error
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows), lines
+    return data, lines
 
 
-def _write_csv(path, columns, rows):
-    # format first: a non-finite value raises before the file is touched;
-    # str cells (labels) pass through as they are
-    text = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
+def _refuse_rows(path, columns, rows, lines):
+    """Raise for the first row that has the wrong field count, a non-numeric or a non-finite field."""
+    for row, lineno in zip(rows, lines):
+        if len(row) != len(columns):
+            raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
+        values = _numbers(row)
+        if values is None:
+            raise ValueError(f"{path}:{lineno}: non-numeric field in {row}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
+
+
+# cells per block of formatted CSV rows
+_CSV_BLOCK = 8192
+
+
+def _write_csv(path, columns, rows, labels=None):
+    """A CSV file: the header ``columns``, then one line per row of the real table ``rows``.
+
+    Each real is written with 17 significant digits, as ``_fmt`` writes it,
+    and the first non-finite one in row order is refused before the file is
+    opened.  ``labels``, if given, is a pair (k, cells): column k holds those
+    str cells (the 2-D trace's ``i:j`` terms) as they are.  A block of rows is
+    formatted by one ``%`` over a template of that many lines.
+    """
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(columns) - (labels is not None))
+    finite = np.isfinite(rows).ravel()
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {float(rows.flat[finite.argmin()])!r}")
+    reals = [k for k in range(len(columns)) if labels is None or k != labels[0]]
+    line = ",".join("%.17g" if k in reals else "%s" for k in range(len(columns))) + "\n"
+    block = np.empty((max(1, _CSV_BLOCK // len(columns)), len(columns)), dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(text)
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(rows), len(block)):
+            part = block[: min(len(block), len(rows) - start)]
+            part[:, reals] = rows[start : start + len(part)]
+            if labels is not None:
+                part[:, labels[0]] = labels[1][start : start + len(part)]
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
 def _load_samples_1d(path):
@@ -109,6 +168,8 @@ def _fit_config(args, default_terms):
 
 
 def cmd_gen(args) -> int:
+    from .synthetic import DistortionParams, gen_correspondences, gen_humped_flat, gen_noisy_line, gen_runge
+
     if args.kind not in GEN_KINDS:
         raise ValueError(f"unknown dataset kind {args.kind!r} (choose from {', '.join(GEN_KINDS)})")
     if args.kind == "correspondences":
@@ -121,7 +182,7 @@ def cmd_gen(args) -> int:
             samples = gen_humped_flat()
         else:
             samples = gen_noisy_line(args.seed)
-        rows = list(zip(samples.x.tolist(), samples.y.tolist()))
+        rows = np.column_stack((samples.x, samples.y))
         _write_csv(args.out, ("x", "y"), rows)
     print(len(rows))
     return EXIT_OK
@@ -131,19 +192,27 @@ def _write_trace(path, report, n_coeffs=0):
     """Per-step trace CSV; curve traces also carry the coefficients after each step.
 
     Approximation steps store only their increment, so their coefficients are
-    the running sum per term: the fit's own additions, in its order.
+    the running sum per term: the fit's own additions, in its order.  Summed
+    down the steps from a row of zeros, each step adds its increment to its
+    term and 0.0, which changes no sum, to every other.
     """
+    trace = report.trace
     columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"]
     columns += [f"a{j}" for j in range(n_coeffs)]
-    a = [0.0] * n_coeffs
-    rows = []
-    for step, entry in enumerate(report.trace, start=1):
-        if n_coeffs and entry.coeffs is None:
-            a[entry.term] += entry.increment
-        rows.append([step, entry.term if isinstance(entry.term, int) else f"{entry.term[0]}:{entry.term[1]}",
-                     entry.increment, entry.max_abs_residual, entry.l2_residual,
-                     *(a if entry.coeffs is None else entry.coeffs)])
-    _write_csv(path, columns, rows)
+    steps = np.arange(1, len(trace) + 1)
+    stats = np.array([(e.increment, e.max_abs_residual, e.l2_residual) for e in trace]).reshape(-1, 3)
+    if not n_coeffs:  # a surface, whose terms are written i:j
+        _write_csv(path, columns, np.column_stack((steps, stats)),
+                   labels=(1, [f"{e.term[0]}:{e.term[1]}" for e in trace]))
+        return
+    terms = np.array([e.term for e in trace], dtype=int)
+    if trace and trace[0].coeffs is not None:
+        coeffs = np.array([e.coeffs for e in trace])
+    else:
+        sums = np.zeros((len(trace) + 1, n_coeffs))
+        sums[steps, terms] = stats[:, 0]
+        coeffs = np.add.accumulate(sums)[1:]
+    _write_csv(path, columns, np.column_stack((steps, terms, stats, coeffs)))
 
 
 def cmd_fit1d(args) -> int:
@@ -164,7 +233,7 @@ def cmd_fit1d(args) -> int:
         _write_trace(args.trace, report, model.n)
     if args.sample:
         xs = np.linspace(xmap.lo, xmap.hi, count[0])
-        _write_csv(args.sample[1], ("x", "P(x)"), zip(xs.tolist(), eval_model_1d(model, xs).tolist()))
+        _write_csv(args.sample[1], ("x", "P(x)"), np.column_stack((xs, eval_model_1d(model, xs))))
     if not report.converged:
         print(f"converged=false (max-abs residual above epsilon={_fmt(args.epsilon)})", file=sys.stderr)
         if args.strict:
@@ -231,7 +300,7 @@ def cmd_apply(args) -> int:
     model = _load_model_file(args.model)
     data, lines = _read_csv(args.points, ("u", "v"))
     X, Y = _map_rows(model, args.points, data, lines)
-    _write_csv(args.out, ("u", "v", "X", "Y"), np.column_stack((data, X, Y)).tolist())
+    _write_csv(args.out, ("u", "v", "X", "Y"), np.column_stack((data, X, Y)))
     print(len(data))
     return EXIT_OK
 
@@ -249,6 +318,8 @@ def _parse_fill(text, channels):
 
 
 def cmd_warp(args) -> int:
+    from .ppm import read_image, write_image
+
     model = _load_model_file(args.model)
     image = read_image(args.input)
     parts = args.window.split(",")
@@ -287,23 +358,23 @@ def cmd_eval(args) -> int:
 
 
 def _add_fit_flags(parser):
-    parser.add_argument("--epsilon", type=float, default=0.0, help="max-abs residual target")
-    parser.add_argument("--max-terms", type=int, default=None,
+    parser.add_argument("--epsilon", type=_number(float), default=0.0, help="max-abs residual target")
+    parser.add_argument("--max-terms", type=_number(int), default=None,
                         help="schedule length (default: sample count for curves, 8 for surfaces)")
-    parser.add_argument("--extra-sweeps", type=int, default=0,
+    parser.add_argument("--extra-sweeps", type=_number(int), default=0,
                         help="repeat the whole visit/revisit schedule this many extra times")
     parser.add_argument("--trace", default=None, help="write per-step trace CSV here")
     parser.add_argument("--strict", action="store_true", help="exit 3 when the fit does not converge")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cvb", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="cvb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p.add_argument("kind", help=f"one of: {', '.join(GEN_KINDS)}")
-    p.add_argument("--m", type=int, default=9, help="point count (runge)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (noisy-line)")
+    p.add_argument("--m", type=_number(int), default=9, help="point count (runge)")
+    p.add_argument("--seed", type=_number(int), default=0, help="generator seed (noisy-line)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_gen)
 
@@ -322,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit a calibration model from u,v,X,Y correspondences")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--epsilon", type=float, default=0.5, help="forward residual target (world units)")
-    p.add_argument("--inverse-epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_number(float), default=0.5, help="forward residual target (world units)")
+    p.add_argument("--inverse-epsilon", type=_number(float), default=None,
                    help="inverse residual target in pixels (default: same as --epsilon)")
-    p.add_argument("--degree-bound", type=int, default=8)
+    p.add_argument("--degree-bound", type=_number(int), default=8)
     p.add_argument("--out", required=True, help="model document path")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_calibrate)
@@ -341,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input PPM/PGM")
     p.add_argument("--output", required=True, help="output PPM/PGM")
     p.add_argument("--window", required=True, help="world window x0,x1,y0,y1")
-    p.add_argument("--width", type=int, default=None, help="output width (default: input width)")
-    p.add_argument("--height", type=int, default=None, help="output height (default: input height)")
+    p.add_argument("--width", type=_number(int), default=None, help="output width (default: input width)")
+    p.add_argument("--height", type=_number(int), default=None, help="output height (default: input height)")
     p.add_argument("--fill", default=None, help="fill value for unmapped pixels (V or R,G,B)")
     p.set_defaults(func=cmd_warp)
 
@@ -354,7 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:  # a flag or argument the parser refused
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.func(args)
     except (ValueError, FitError, ModelParseError) as exc:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .basis import (
     IDENTITY_MAP,
@@ -330,6 +329,8 @@ def eval_model_1d(model: ChebModel1D, x):
     Points outside the model's source interval are still evaluated but flag
     an ExtrapolationWarning.
     """
+    from numpy.polynomial import chebyshev as _cheb  # here: no other command needs it
+
     x_arr = np.asarray(x, dtype=float)
     warn_if_extrapolating(model.xmap, x_arr, axis="x")
     value = _cheb.chebval(model.xmap.forward(x_arr), model.coeffs)

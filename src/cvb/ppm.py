@@ -16,6 +16,16 @@ PLAIN_BODY_BYTES = b"0123456789 \t\n\r\v\f"
 # One header token, after any whitespace and "#" comments (a comment runs to
 # the end of its line), and the one whitespace byte that may end it.
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)\s?")
+# The plain writer gives each value a 4-byte slot, its three decimal digits
+# and a separator, looked up as one uint32 per value; a mask of the same
+# layout drops the leading zeros.  It writes a band of _PLAIN_BAND values at
+# a time, through buffers of at most 64 KiB (the band's indices as intp, which
+# np.take would otherwise convert afresh each call) that stay below glibc's
+# 128 KiB mmap threshold, so a write leaves the heap's layout as it found it.
+_PLAIN_BAND = 8192
+_SLOTS = np.array([[48 + v // 100, 48 + v // 10 % 10, 48 + v % 10, 32] for v in range(256)], np.uint8)
+_SLOTS = _SLOTS.view(np.uint32).ravel()
+_DIGITS_KEPT = np.array([[v >= 100, v >= 10, True, True] for v in range(256)]).view(np.uint32).ravel()
 
 
 def _header(data: bytes):
@@ -94,10 +104,32 @@ def write_image(path, img, plain: bool = False) -> None:
     else:
         raise ValueError(f"image must be (h, w) or (h, w, 3), got shape {img.shape}")
     height, width = img.shape[:2]
+    if width < 1 or height < 1:
+        raise ValueError(f"bad image dimensions {width}x{height}")
     header = b"%s\n%d %d\n255\n" % (magic, width, height)
     with open(path, "wb") as fh:
         fh.write(header)
         if plain:
-            np.savetxt(fh, img.reshape(height, -1), fmt="%d")
+            _write_plain(fh, img)
         else:
             fh.write(img.tobytes())
+
+
+def _write_plain(fh, img):
+    """The plain raster: one line per image row, its values separated by one space.
+
+    The bytes are those of ``np.savetxt(fh, img.reshape(height, -1), fmt="%d")``.
+    """
+    values = img.reshape(-1)
+    row = values.size // img.shape[0]
+    index = np.empty(min(_PLAIN_BAND, values.size), np.intp)
+    slots, kept = np.empty(index.size, np.uint32), np.empty(index.size, np.uint32)
+    for start in range(0, values.size, index.size):
+        n = min(index.size, values.size - start)
+        np.copyto(index[:n], values[start : start + n])
+        np.take(_SLOTS, index[:n], out=slots[:n], mode="clip")
+        np.take(_DIGITS_KEPT, index[:n], out=kept[:n], mode="clip")
+        chars = slots[:n].view(np.uint8)
+        # the last value of each row ends its line
+        chars[4 * ((-start - 1) % row) + 3 :: 4 * row] = ord("\n")
+        fh.write(chars[kept[:n].view(bool)])

@@ -3,6 +3,9 @@
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,32 @@ def test_public_api_is_pinned():
     # dropped here too, on purpose
     assert PUBLIC_API == sorted(PUBLIC_API)
     assert sorted(cvb.__all__) == PUBLIC_API
+
+
+LAZY_NAMES = """
+import importlib, sys, types
+import cvb
+assert {"cvb.ppm", "cvb.rectify", "cvb.synthetic"}.isdisjoint(sys.modules)  # nothing read yet
+for name in cvb.__all__:
+    value = getattr(cvb, name)
+    assert not isinstance(value, types.ModuleType) and getattr(cvb, name) is value, name
+assert not hasattr(cvb, "no_such_name")
+for module in ("basis", "fit1d", "fit2d", "orthogonalize", "ppm", "rectify", "synthetic", "cli"):
+    importlib.import_module("cvb." + module)
+assert callable(cvb.orthogonalize) and cvb.orthogonalize is cvb.orthogonalize.__globals__["orthogonalize"]
+assert set(dir(cvb)) >= set(cvb.__all__)
+namespace = {}
+exec("from cvb import *", namespace)
+assert sorted(k for k in namespace if k != "__builtins__") == cvb.__all__
+"""
+
+
+def test_public_names_are_read_lazily_and_stay_bound():
+    # in a fresh process: a name's module loads on first read, and importing
+    # every submodule leaves ``cvb.orthogonalize`` the function, not its module
+    src = str(Path(cvb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", LAZY_NAMES], env=env, check=True, timeout=60)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -2,12 +2,14 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebval, chebval2d
 
 import cvb
@@ -534,6 +536,84 @@ def test_importing_the_cli_does_not_load_scipy_stats():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_the_cli_imports_only_what_a_command_runs():
+    # the raster module for warp alone, the generators for gen alone, numpy's series module for --sample alone
+    src = str(Path(cvb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import cvb.cli, sys; loaded = {'cvb.ppm', 'cvb.synthetic', 'numpy.polynomial'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+class TestNumericFlags:
+    """Every numeric flag reads plain ASCII numbers, as the CSV cells do, and a refusal names the flag."""
+
+    FLAGS = [
+        (("gen", "runge"), "--m", "int"),
+        (("gen", "noisy-line"), "--seed", "int"),
+        (("fit1d",), "--epsilon", "float"),
+        (("fit1d",), "--max-terms", "int"),
+        (("fit1d",), "--extra-sweeps", "int"),
+        (("fit2d",), "--max-terms", "int"),
+        (("calibrate",), "--epsilon", "float"),
+        (("calibrate",), "--inverse-epsilon", "float"),
+        (("calibrate",), "--degree-bound", "int"),
+        (("warp",), "--width", "int"),
+        (("warp",), "--height", "int"),
+    ]
+
+    @staticmethod
+    def argv(command, tmp_path):
+        paths = {"--out": tmp_path / "out", "--input": tmp_path / "in", "--pairs": tmp_path / "p",
+                 "--model": tmp_path / "m", "--output": tmp_path / "o"}
+        needs = {"gen": ["--out"], "fit1d": ["--input"], "fit2d": ["--input"], "calibrate": ["--pairs", "--out"],
+                 "warp": ["--model", "--input", "--output"]}[command[0]]
+        extra = ["--window=0,1,0,1"] if command[0] == "warp" else []
+        return [*command, *(x for flag in needs for x in (flag, str(paths[flag]))), *extra]
+
+    @pytest.mark.parametrize("command, flag, kind", FLAGS, ids=[" ".join((*c, f)) for c, f, _ in FLAGS])
+    @pytest.mark.parametrize("value", ["1_0", "\uff13", "\u0663", "x", ""])
+    def test_a_value_only_python_reads_is_refused_by_flag(self, tmp_path, capsys, command, flag, kind, value):
+        code, stdout, stderr = run(capsys, *self.argv(command, tmp_path), flag, value)
+        assert (code, stdout, stderr) == (EXIT_VALIDATION, "", f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fit1d", "--max-terms", "\uff13"), "argument --max-terms: invalid int value: '\uff13'"),
+        (("fit1d", "--epsilon", "1_0e-3"), "argument --epsilon: invalid float value: '1_0e-3'"),
+        (("gen", "runge", "--m", "\uff19"), "argument --m: invalid int value: '\uff19'"),
+    ])
+    def test_the_examples_that_used_to_fit(self, quad_csv, tmp_path, capsys, argv, message):
+        files = ["--out", str(tmp_path / "r.csv")] if argv[0] == "gen" else ["--input", str(quad_csv)]
+        code, stdout, stderr = run(capsys, *argv, *files)
+        assert (code, stdout, stderr) == (EXIT_VALIDATION, "", f"error: {message}\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_plain_numbers_still_parse(self, quad_csv, capsys):
+        code, stdout, _ = run(capsys, "fit1d", "--input", str(quad_csv), "--algorithm", "interp",
+                              "--max-terms", " 3 ", "--epsilon", "1e-3")
+        assert code == EXIT_OK
+        assert [float(v) for v in stdout.split()] == pytest.approx([1.5, 2.0, 0.5], abs=1e-10)
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("fit1d",), "the following arguments are required: --input"),
+        (("fit1d", "--input"), "argument --input: expected one argument"),
+        (("fit1d", "--input", "x", "--algorithm", "spline"),
+         "argument --algorithm: invalid choice: 'spline' (choose from 'interp', 'approx')"),
+        (("warp", "--model", "m", "--input", "i", "--output", "o", "--window", "-448,448,-336,336"),
+         "argument --window: expected one argument"),
+        (("fit1d", "--input", "x", "--bogus"), "unrecognized arguments: --bogus"),
+    ])
+    def test_a_parser_refusal_is_one_error_line_and_exit_1(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit1d", "--help"])
+        assert exc.value.code == 0 and "--max-terms" in capsys.readouterr().out
+
+
 @pytest.fixture
 def identity_model(tmp_path, capsys):
     """Identity calibration over a 16 x 12 pixel frame."""
@@ -678,7 +758,79 @@ EDGE_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 2.0
                100.0, 1e22, 2.0**70, 0.1, 1 / 3, 123456.789]
 
 
+# finite float64 values drawn by their bits, so subnormals and both zeros come up
+BIT_FLOATS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+
+
+def csv_oracle(columns, rows, labels=None):
+    """Oracle: the CSV text with each real formatted on its own by format(v, ".17g")."""
+    lines = [",".join(columns)]
+    for r, row in enumerate(rows):
+        cells = [format(v, ".17g") for v in row]
+        if labels is not None:
+            cells.insert(labels[0], labels[1][r])
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, rows, labels) for ``_write_csv``; labels, when drawn, are ``i:j`` cells at some column."""
+    width = draw(st.integers(1, 5))
+    cell = st.one_of(st.sampled_from(EDGE_FLOATS + [-v for v in EDGE_FLOATS]), BIT_FLOATS)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=30))
+    labels = None
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=len(rows), max_size=len(rows)))
+        labels = (draw(st.integers(0, width)), [f"{i}:{j}" for i, j in pairs])
+    return [f"c{k}" for k in range(width + (labels is not None))], rows, labels
+
+
 class TestCsvCells:
+    @settings(max_examples=150, deadline=None)
+    @given(table=csv_tables())
+    @example(table=(["a", "b"], [[-0.0, 5e-324], [-5e-324, 1.7976931348623157e308]], None))
+    @example(table=(["step", "term", "x"], [[1.0, -0.0], [2.0, 0.1]], (1, ["0:0", "1:0"])))
+    @example(table=(["a"], [], None))
+    def test_written_bytes_equal_a_per_cell_format(self, tmp_path_factory, table):
+        from cvb.cli import _write_csv
+
+        columns, rows, labels = table
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        _write_csv(path, columns, rows, labels)
+        assert path.read_bytes() == csv_oracle(columns, rows, labels)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_a_table_of_many_blocks_equals_a_per_cell_format(self, tmp_path, labels):
+        from cvb.cli import _CSV_BLOCK, _write_csv
+
+        bits = np.random.default_rng(6).integers(0, 2**64, size=(_CSV_BLOCK // 2 + 7, 5), dtype=np.uint64)
+        rows = bits.view(np.float64)
+        rows = np.where(np.isfinite(rows), rows, -0.0)
+        cells = (1, [f"{k}:{k % 7}" for k in range(len(rows))]) if labels else None
+        columns = [f"c{k}" for k in range(5 + labels)]
+        path = tmp_path / "rows.csv"
+        _write_csv(path, columns, rows, cells)
+        assert path.read_bytes() == csv_oracle(columns, rows.tolist(), cells)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"1,2\n3,4,5\n6,x\n", "3: expected 2 fields, got 3"),
+        (b"1,2\n6,x\n3,4,5\n", "3: non-numeric field in ['6', 'x']"),
+        (b"1,2\nnan,1\n3,4,5\n", "3: non-finite field in ['nan', '1']"),
+        (b"1,2\n3,1e999\n4,x\n", "3: non-finite field in ['3', '1e999']"),
+        (b"1,2\n3,x\n" + b"9" * 131_073 + b",1\n", "3: non-numeric field in ['3', 'x']"),
+        (b"1,2\n" + b"9" * 131_073 + b",1\n3,x\n", "3: field larger than field limit (131072)"),
+        (b"1,2\n3,x\n" + b"1,2\n" * 5000 + b"\xff,1\n", "3: non-numeric field in ['3', 'x']"),
+    ], ids=["count", "non-numeric", "non-finite", "overflow", "bad row, then a huge field", "huge field, then a bad row",
+            "bad row, then undecodable bytes"])
+    def test_the_first_fault_of_a_file_is_the_one_named(self, identity_model, tmp_path, capsys, body, message):
+        pts, out = tmp_path / "pts.csv", tmp_path / "mapped.csv"
+        pts.write_bytes(b"u,v\n" + body)
+        code, stdout, stderr = run(capsys, "apply", "--model", str(identity_model), "--points", str(pts),
+                                   "--out", str(out))
+        assert (code, stdout, stderr) == (EXIT_VALIDATION, "", f"error: {pts}:{message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("row, got", [("3,4,5", 3), ("3", 1)])
     def test_a_row_of_another_field_count_is_named_by_its_line(self, identity_model, tmp_path, capsys, row, got):
         pts, out = tmp_path / "pts.csv", tmp_path / "mapped.csv"

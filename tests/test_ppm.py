@@ -1,12 +1,14 @@
 """PPM/PGM raster round trips."""
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cvb.ppm import MAGIC_CHANNELS, _header, read_image, write_image
+from cvb.ppm import _PLAIN_BAND, MAGIC_CHANNELS, _header, read_image, write_image
 
 
 def header_tokens(data: bytes, count: int):
@@ -182,6 +184,67 @@ def test_plain_parse_agrees_with_per_token_int(tmp_path_factory, values, seps, z
     path = tmp_path_factory.mktemp("plain") / "img.pgm"
     path.write_bytes(b"P2\n%d 1\n255\n" % len(values) + body.encode("ascii"))
     assert read_image(path)[0].tolist() == [int(t) for t in body.split()]
+
+
+def savetxt_body(img):
+    """Oracle: the plain raster as numpy's text writer renders one image row per line."""
+    buffer = io.BytesIO()
+    np.savetxt(buffer, img.reshape(img.shape[0], -1), fmt="%d")
+    return buffer.getvalue()
+
+
+# widths around one band of values per line, for gray and RGB rows
+BAND_WIDTHS = sorted({_PLAIN_BAND - 1, _PLAIN_BAND, _PLAIN_BAND + 1, _PLAIN_BAND // 3, _PLAIN_BAND // 3 + 1})
+
+
+@st.composite
+def rasters(draw):
+    """(h, w) or (h, w, 3) uint8 images of up to a little over two bands of values."""
+    channels = draw(st.sampled_from([1, 3]))
+    width = draw(st.one_of(st.integers(1, 12), st.sampled_from(BAND_WIDTHS)))
+    height = draw(st.integers(1, 2 * _PLAIN_BAND // (width * channels) + 2))
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    img = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 256, size=shape, dtype=np.uint8)
+    # every digit count, and both ends of the range, at the start of the raster
+    img.flat[: min(img.size, 6)] = [0, 9, 10, 99, 100, 255][: min(img.size, 6)]
+    return img
+
+
+@settings(max_examples=40, deadline=None)
+@given(img=rasters())
+@example(img=np.full((1, 1), 7, dtype=np.uint8))
+@example(img=(np.arange(3 * (_PLAIN_BAND // 3 + 2)) % 256).astype(np.uint8).reshape(-1, 1, 3))  # a band ends mid-pixel
+@example(img=np.full((3, _PLAIN_BAND + 1), 100, dtype=np.uint8))  # a line wider than a band
+def test_plain_writer_matches_savetxt(tmp_path_factory, img):
+    path = tmp_path_factory.mktemp("plain") / "img.ppm"
+    write_image(path, img, plain=True)
+    height, width = img.shape[:2]
+    magic = b"P2" if img.ndim == 2 else b"P3"
+    assert path.read_bytes() == b"%s\n%d %d\n255\n" % (magic, width, height) + savetxt_body(img)
+
+
+def test_plain_writer_memory_is_bounded_by_its_band(tmp_path):
+    # a few 64 KiB buffers, none at glibc's 128 KiB mmap threshold, whatever the raster's size
+    img = np.random.default_rng(5).integers(0, 256, size=(480, 640, 3), dtype=np.uint8)
+    path = tmp_path / "img.ppm"
+    tracemalloc.start()
+    try:
+        write_image(path, img, plain=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert path.read_bytes().endswith(savetxt_body(img))
+
+
+@pytest.mark.parametrize("plain", [False, True])
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3), (2, 0, 3)])
+def test_rejects_an_empty_image(tmp_path, plain, shape):
+    # read_image refuses such a file, so it is not written
+    path = tmp_path / "img.ppm"
+    with pytest.raises(ValueError, match=r"^bad image dimensions \d+x\d+$"):
+        write_image(path, np.zeros(shape, dtype=np.uint8), plain=plain)
+    assert not path.exists()
 
 
 def test_rejects_wrong_dtype():
