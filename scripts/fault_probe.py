@@ -6,8 +6,9 @@ the median wall time and the median count of minor page faults
 (``getrusage(RUSAGE_SELF).ru_minflt``) per call.  A fault count near zero
 means the call reuses memory the process already has; hundreds mean it maps
 fresh pages each time.  Inputs are seeded and built from ``cvb.synthetic``
-at the sizes of the perfbench workloads (``--size full``: a 2,000-point
-cloud with degree bound 12, a 16x12 calibration grid, a 640x480 warp,
+at the sizes of the perfbench workloads (``--size full``: Runge plus noise
+at 1,000 Chebyshev zeros fitted with 60 terms, a 2,000-point cloud with
+degree bound 12, a 16x12 calibration grid, a 640x480 warp,
 100,000 mapped points, and the CLI's text files: the 640x480 RGB plain PPM
 that ``cvb warp`` reads and the 5,000-row CSV that ``cvb apply`` writes), or
 much smaller with ``--size tiny`` (the raster keeps the camera's size).
@@ -25,24 +26,38 @@ from pathlib import Path
 
 import numpy as np
 
-from cvb import ExtrapolationWarning, FitConfig, WarpSpec, calibrate, cvb_approximate_2d, map_point, warp_image
+from cvb import (
+    ExtrapolationWarning,
+    FitConfig,
+    SampleSet1D,
+    WarpSpec,
+    calibrate,
+    cheb_zeros,
+    cvb_approximate,
+    cvb_approximate_2d,
+    cvb_interpolate,
+    map_point,
+    warp_image,
+)
 from cvb.cli import _write_csv
 from cvb.fit2d import SampleSet2D, term_matrix, visit_order
 from cvb.ppm import read_image, write_image
-from cvb.synthetic import DistortionParams, distort
+from cvb.synthetic import DistortionParams, distort, runge
 
 SIZES = {
-    # cloud points, degree bound, calibration grid, warp output, mapped points, CSV rows
-    "full": (2000, 12, (16, 12), (640, 480), 100_000, 5000),
-    "tiny": (150, 10, (8, 6), (64, 48), 2000, 100),
+    # curve points and terms, cloud points, degree bound, calibration grid, warp output, mapped points, CSV rows
+    "full": ((1000, 60), 2000, 12, (16, 12), (640, 480), 100_000, 5000),
+    "tiny": ((120, 12), 150, 10, (8, 6), (64, 48), 2000, 100),
 }
 PARAMS = DistortionParams()
 WINDOW = (-448.0, 448.0, -336.0, 336.0)
 
 
 def inputs(size, seed):
-    cloud_m, n2d, (nx, ny), (out_w, out_h), points, _ = SIZES[size]
+    (curve_m, _), cloud_m, n2d, (nx, ny), (out_w, out_h), points, _ = SIZES[size]
     rng = np.random.default_rng(seed)
+    zeros = cheb_zeros(curve_m)
+    curve = SampleSet1D(x=zeros, y=runge(zeros) + 0.01 * rng.standard_normal(curve_m))
     x, y = rng.uniform(-1.0, 1.0, cloud_m), rng.uniform(-1.0, 1.0, cloud_m)
     samples = SampleSet2D(x=x, y=y, z=np.sin(3 * x) * np.cos(2 * y) + 0.01 * rng.standard_normal(cloud_m))
     width, height = PARAMS.image_size
@@ -53,7 +68,7 @@ def inputs(size, seed):
     pairs = np.column_stack([*distort(PARAMS, X, Y), X, Y])
     image = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
     pu, pv = rng.uniform(0.0, width, points), rng.uniform(0.0, height, points)
-    return samples, n2d, pairs, image, WarpSpec(out_w, out_h, WINDOW), pu, pv
+    return curve, samples, n2d, pairs, image, WarpSpec(out_w, out_h, WINDOW), pu, pv
 
 
 def probe(fn, repeats):
@@ -80,7 +95,8 @@ def main():
 
     # the mapped points cover the whole frame, beyond the calibrated grid
     warnings.simplefilter("ignore", ExtrapolationWarning)
-    samples, n2d, pairs, image, spec, pu, pv = inputs(args.size, args.seed)
+    curve, samples, n2d, pairs, image, spec, pu, pv = inputs(args.size, args.seed)
+    curve_config = FitConfig(epsilon=0.0, max_terms=SIZES[args.size][0][1])
     order = visit_order(n2d)
     full, early = FitConfig(epsilon=0.0, max_terms=n2d), FitConfig(epsilon=0.05, max_terms=n2d)
     fwd, inv = FitConfig(epsilon=0.5, max_terms=8), FitConfig(epsilon=0.25, max_terms=8)
@@ -91,6 +107,8 @@ def main():
     plain, csv_path = scratch / "plain.ppm", scratch / "mapped.csv"
     write_image(plain, image, plain=True)
     operations = (
+        (f"cvb_interpolate (n={curve_config.max_terms}, m={curve.m})", lambda: cvb_interpolate(curve, curve_config)),
+        (f"cvb_approximate (n={curve_config.max_terms}, m={curve.m})", lambda: cvb_approximate(curve, curve_config)),
         (f"term_matrix ({len(order)} terms, m={samples.m})", lambda: term_matrix(samples, order)),
         ("cvb_approximate_2d full", lambda: cvb_approximate_2d(samples, full)),
         ("cvb_approximate_2d early stop", lambda: cvb_approximate_2d(samples, early)),

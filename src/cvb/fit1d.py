@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -153,68 +154,76 @@ class ChebModel1D:
 _STEP_BLOCK = 32
 
 
-def _statistics(block, pending, data_max, maxes, l2s) -> float:
+def _statistics(block, pending, data_max, maxes, l2s):
     """Append max|delta| and the l2 of delta for residual rows 1..pending of ``block``.
 
     Row ``pending`` (the current residual) is first copied to row 0, where
     the next step reads it; then the rows are made absolute in place (the
-    squares, so the l2, keep their bits) and measured as ``_l2`` measures
-    one vector.  Raises FitError at the first row whose l2 leaves the float
-    range.  Returns the last row's max.
+    squares, so the l2, keep their bits) and measured: every l2 by one
+    ``np.vecdot`` (a ``ddot`` per row, the bits of ``u @ u``), and again, as
+    ``_l2`` measures one vector, each row whose max lies outside [1e-140,
+    1e140], where a square may overflow or underflow.  Raises FitError at
+    the first row whose l2 leaves the float range.  Overflows are left to
+    the caller's ``np.errstate``.
     """
     block[0] = block[pending]
     residuals = np.abs(block[1:pending + 1], out=block[1:pending + 1])
     row_max = residuals.max(axis=1).tolist()
-    for row, max_abs in zip(residuals, row_max):
-        l2 = math.sqrt(row.dot(row)) if 1e-140 <= max_abs <= 1e140 else _l2(row, max_abs)
-        if not math.isfinite(l2):  # nor is max_abs, if it is not finite
-            raise FitError(f"the fit residual leaves the float range (±{np.finfo(float).max:.4g}) "
-                           f"on data whose largest |value| is {data_max!r}")
-        l2s.append(l2)
-    maxes.extend(row_max)
-    return row_max[-1]
+    row_l2 = np.sqrt(np.vecdot(residuals, residuals)).tolist()
+    for i, max_abs in enumerate(row_max):
+        if not 1e-140 <= max_abs <= 1e140:
+            row_l2[i] = l2 = _l2(residuals[i], max_abs)
+            if not math.isfinite(l2):  # nor is max_abs, if it is not finite
+                raise FitError(f"the fit residual leaves the float range (±{np.finfo(float).max:.4g}) "
+                               f"on data whose largest |value| is {data_max!r}")
+    maxes += row_max
+    l2s += row_l2
 
 
-def _project(rows, norm2, gamma, plan, epsilon=None):
+def _project(rows, norm2, gamma, plan, epsilon=None, sweeps=1):
     """The one projection loop both fitters share.
 
-    ``plan`` is a list of (k, kind) pairs, kind "visit" or "revisit"; unless
-    ``epsilon`` is None the loop stops before a visit once max|delta| <=
-    epsilon.  A step projects the error vector delta (gamma less the fit so
-    far) on rows[k] and writes delta less its projection into the next row
-    of one block of ``_STEP_BLOCK`` + 1 rows; it allocates nothing.  The steps are
-    serial, but the residual statistics are outputs only, so
-    ``_statistics`` takes them once per block: before a visit that may
-    stop, when the block is full, and at the end.  Returns the increments,
-    max|delta| and l2 of delta of the steps taken (the first len(incs)
-    entries of ``plan``) and the final max|delta|.  Raises FitError once
-    the residual or its l2 norm leaves the float range.
+    ``plan`` is a list of (k, kind) pairs, kind "visit" or "revisit", taken
+    ``sweeps`` times over; unless ``epsilon`` is None the loop stops before
+    a visit once max|delta| <= epsilon.  A step projects the error vector
+    delta (gamma less the fit so far) on rows[k] and writes delta less its
+    projection into the next row of one block of ``_STEP_BLOCK`` + 1 rows;
+    it allocates nothing.  The steps are serial, but the residual
+    statistics are outputs only, so ``_statistics`` takes them once per
+    block: when the block is full, and at the end.  A visit reads only the
+    max of the current residual.  Returns the increments, max|delta| and l2
+    of delta of the steps taken (the first len(incs) steps of the plan) and
+    the final max|delta|.  Raises FitError once the residual or its l2 norm
+    leaves the float range.
     """
     gamma = np.asarray(gamma, dtype=float)
     block = np.empty((_STEP_BLOCK + 1, gamma.size))
     views = list(block)
-    max_abs = data_max = float(np.abs(gamma).max())
+    data_max = float(np.abs(gamma).max())
     block[0] = gamma
     incs, maxes, l2s = [], [], []
+    stops = epsilon is not None
+    multiply, subtract = np.multiply, np.subtract
     pending = 0  # rows 1..pending hold residuals not yet measured
     # an overflowing step is refused in _statistics, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, kind in plan:
-            if kind == "visit" and epsilon is not None:
-                if pending:
-                    max_abs, pending = _statistics(block, pending, data_max, maxes, l2s), 0
-                if max_abs <= epsilon:
-                    break
-            row, delta, out = rows[k], views[pending], views[pending + 1]
-            inc = float((row @ delta) / norm2[k])
-            np.subtract(delta, np.multiply(inc, row, out=out), out=out)
+        # an empty plan is not repeated: a billion empty sweeps would still take seconds
+        for k, kind in chain.from_iterable(repeat(plan, sweeps if plan else 0)):
+            delta = views[pending]
+            if stops and kind == "visit" and max(delta.max(), -delta.min()) <= epsilon:
+                break
+            # inc stays a numpy float64: a Python float costs multiply a conversion
+            row, out = rows[k], views[pending + 1]
+            inc = row.dot(delta) / norm2[k]
+            subtract(delta, multiply(row, inc, out=out), out=out)
             incs.append(inc)
             pending += 1
             if pending == _STEP_BLOCK:
-                max_abs, pending = _statistics(block, pending, data_max, maxes, l2s), 0
+                _statistics(block, pending, data_max, maxes, l2s)
+                pending = 0
         if pending:
-            max_abs = _statistics(block, pending, data_max, maxes, l2s)
-    return incs, maxes, l2s, max_abs
+            _statistics(block, pending, data_max, maxes, l2s)
+    return list(map(float, incs)), maxes, l2s, maxes[-1] if maxes else data_max
 
 
 def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = IDENTITY_MAP):
@@ -236,11 +245,11 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     tau = cheb_columns(samples.x, n).T  # row j is tau_j
     oset = orthogonalize(tau)
     retained = oset.retained()
-    for j in retained:
-        if not np.all(np.isfinite(oset.ortho[j])):
-            raise FitError(f"orthogonal component of term {j} is not finite")
+    finite = np.isfinite(oset.ortho).all(axis=1)[retained]
+    if not finite.all():
+        raise FitError(f"orthogonal component of term {retained[int(finite.argmin())]} is not finite")
 
-    norm2 = {j: oset.ortho[j] @ oset.ortho[j] for j in retained}
+    norm2 = np.vecdot(oset.ortho, oset.ortho).tolist()  # the bits of o_j @ o_j
     incs, maxes, l2s, max_abs = _project(oset.ortho, norm2, samples.y, [(j, "visit") for j in retained])
     a = np.zeros(n)
     trace = []
@@ -252,17 +261,18 @@ def cvb_interpolate(samples: SampleSet1D, config: FitConfig, xmap: DomainMap = I
     return ChebModel1D(coeffs=a, xmap=xmap), report
 
 
-def _sweep(rows, norm2, gamma, plan, epsilon, labels):
-    """One target's pass along ``plan``: (coefficients, trace, converged).
+def _sweep(rows, norm2, gamma, plan, epsilon, labels, sweeps):
+    """One target's pass along ``plan``, ``sweeps`` times over: (coefficients, trace, converged).
 
     ``rows`` and ``norm2`` are lists, the cheapest to index once per step.
     """
-    incs, maxes, l2s, max_abs = _project(rows, norm2, gamma, plan, epsilon)
+    incs, maxes, l2s, max_abs = _project(rows, norm2, gamma, plan, epsilon, sweeps)
     a = [0.0] * len(rows)  # float sums, in step order, as numpy would add them
-    for (t, _), inc in zip(plan, incs):
+    trace, new = [], tuple.__new__
+    # incs leads the zip, so it ends at the last step taken without reading on
+    for inc, (t, kind), step_max, l2 in zip(incs, chain.from_iterable(repeat(plan, sweeps)), maxes, l2s):
         a[t] += inc
-    trace = [TraceStep(labels[t], kind, inc, step_max, l2)
-             for (t, kind), inc, step_max, l2 in zip(plan, incs, maxes, l2s)]
+        trace.append(new(TraceStep, (labels[t], kind, inc, step_max, l2, None)))
     return np.array(a), trace, max_abs <= epsilon
 
 
@@ -279,9 +289,10 @@ def projection_sweeps(tau, gamma, config, schedule, revisits, skipped, labels=No
     read it from a dominance matrix (``_shape_first``).
     """
     plan = [step for t in schedule if t not in skipped
-            for step in ((t, "visit"), *((k, "revisit") for k in revisits[t]))] * (config.extra_sweeps + 1)
+            for step in ((t, "visit"), *((k, "revisit") for k in revisits[t]))]
     norm2 = np.einsum("ij,ij->i", tau, tau).tolist()
-    return _sweep(list(tau), norm2, gamma, plan, config.epsilon, range(len(tau)) if labels is None else labels)
+    return _sweep(list(tau), norm2, gamma, plan, config.epsilon, range(len(tau)) if labels is None else labels,
+                  config.extra_sweeps + 1)
 
 
 def _shape_first(tau, targets, config, dominated, labels):
@@ -300,11 +311,11 @@ def _shape_first(tau, targets, config, dominated, labels):
     term = len(tau) - 1 - column
     # the two kind literals are shared by every step, not one new str per step
     kinds = [("revisit", "visit")[v] for v in (term == visit).tolist()]
-    plan = list(zip(term.tolist(), kinds)) * (config.extra_sweeps + 1)
+    plan = list(zip(term.tolist(), kinds))
     named = [labels[t] for t in np.flatnonzero(skipped).tolist()]
     rows, norm2 = list(tau), norm2.tolist()
     for gamma in targets:
-        a, trace, converged = _sweep(rows, norm2, gamma, plan, config.epsilon, labels)
+        a, trace, converged = _sweep(rows, norm2, gamma, plan, config.epsilon, labels, config.extra_sweeps + 1)
         yield a, _report(trace, a, converged, named, gamma)
 
 

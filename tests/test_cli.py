@@ -186,6 +186,16 @@ class TestFit1D:
         assert code == EXIT_OK
         assert [float(v) for v in stdout.split()] == pytest.approx([1.5, 2.0, 0.5], abs=1e-10)
 
+    def test_a_billion_extra_sweeps_of_data_within_epsilon_take_no_step(self, tmp_path, capsys):
+        # the sweep plan is built once and iterated per sweep, not repeated up front
+        data, trace = tmp_path / "runge.csv", tmp_path / "trace.csv"
+        run(capsys, "gen", "runge", "--m", "9", "--out", str(data))
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(data), "--max-terms", "3", "--epsilon", "10",
+                                   "--extra-sweeps", "1000000000", "--trace", str(trace))
+        assert (code, stderr) == (EXIT_OK, "")
+        assert [float(v) for v in stdout.split()] == [0.0, 0.0, 0.0]
+        assert trace.read_text().splitlines() == ["step,term,increment,max_abs_residual,l2_residual,a0,a1,a2"]
+
     @pytest.mark.parametrize("algorithm", ["interp", "approx"])
     def test_trace_of_residuals_whose_squares_overflow_is_finite(self, tmp_path, capsys, algorithm):
         # delta . delta of these data overflows; the l2 residual is scaled first, so it stays finite

@@ -6,7 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cvb import fit1d
 from cvb.basis import SampleSet1D, cheb_columns, cheb_zeros
 from cvb.fit1d import (
     _STEP_BLOCK,
@@ -16,13 +18,14 @@ from cvb.fit1d import (
     FitError,
     TraceStep,
     _l2,
+    _statistics,
     cvb_approximate,
     cvb_interpolate,
     eval_model_1d,
     projection_sweeps,
 )
 from cvb.fit2d import SampleSet2D, cvb_approximate_2d, revisit_set, term_matrix, visit_order
-from cvb.orthogonalize import orthogonalize
+from cvb.orthogonalize import OrthoSet, orthogonalize
 from cvb.synthetic import runge
 
 QUAD = SampleSet1D(x=[-1.0, 0.0, 1.0], y=[0.0, 1.0, 4.0])
@@ -729,6 +732,14 @@ class TestEngineBits:
         assert len(report.trace) == full and report.converged
         self.assert_same_bits(model.coeffs, report, oracle_approximate_1d(samples, config))
 
+    def test_epsilon_stop_inside_a_block(self):
+        # fit-dense's early-stop surface: the stop check reads the residual of a step not yet measured
+        samples, config = cloud(1, m=2000), FitConfig(epsilon=0.05, max_terms=12)
+        model, report = cvb_approximate_2d(samples, config)
+        assert report.converged and len(report.trace) % _STEP_BLOCK and len(report.trace) < 1365
+        coeffs = [model.coeffs.get(t, 0.0) for t in visit_order(config.max_terms)]
+        self.assert_same_bits(coeffs, report, oracle_approximate_2d(samples, config))
+
     @pytest.mark.parametrize("fit", ["interp", "approx"])
     def test_an_overflow_inside_a_block_raises_the_one_step_error(self, fit):
         # the first residual, 1e308 T_1, is finite, but its dot with T_1 is 2.5e308
@@ -757,3 +768,99 @@ class TestEngineBits:
                     tracemalloc.stop()
                 beyond = peak - n * m * 8
                 assert abs(beyond - (_STEP_BLOCK + 2) * m * 8) < 32 * 1024, (m, n, beyond)
+
+
+FLOAT_RANGE_MESSAGE = "the fit residual leaves the float range (±1.798e+308) on data whose largest |value| is {!r}"
+
+
+@st.composite
+def residual_blocks(draw):
+    """A block whose rows 1..count hold residuals of m values: each 2^k times a normal draw, or zeros.
+
+    Row 0 and the rows after ``count`` hold NaN, which a measured row would
+    turn into an error; one drawn cell may hold inf, -inf or NaN.
+    """
+    m, count = draw(st.integers(1, 300)), draw(st.integers(1, _STEP_BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = np.full((_STEP_BLOCK + 1, m), np.nan)
+    for i in range(1, count + 1):
+        k = draw(st.none() | st.integers(-1000, 1000))
+        block[i] = draw(st.sampled_from([0.0, -0.0])) if k is None else np.ldexp(rng.standard_normal(m), k)
+    if draw(st.booleans()):
+        poison = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        block[draw(st.integers(1, count)), draw(st.integers(0, m - 1))] = poison
+    return block, count
+
+
+# two rows, the second holding inf: the block must raise, whatever Hypothesis draws
+INF_BLOCK = np.zeros((_STEP_BLOCK + 1, 3))
+INF_BLOCK[1:3] = [[1.0, -2.0, 0.5], [3.0, np.inf, 0.0]]
+
+
+class TestBlockStatistics:
+    """``_statistics`` measures a block of residual rows with the bits of one row at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=residual_blocks(), data_max=st.floats(0.0, 1.7e308))
+    @example(case=(INF_BLOCK, 2), data_max=7.5)
+    def test_each_row_keeps_the_bits_of_a_one_row_measure(self, case, data_max):
+        block, count = case[0].copy(), case[1]
+        rows = block[1:count + 1].copy()
+        maxes, l2s = [0.5], [0.25]  # earlier blocks' statistics stay in front
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect_max = [float(np.abs(r).max()) for r in rows]
+            expect_l2 = [_l2(r, max_abs) for r, max_abs in zip(rows, expect_max)]
+            if all(math.isfinite(l2) for l2 in expect_l2):
+                _statistics(block, count, data_max, maxes, l2s)
+                assert bits(maxes) == bits([0.5, *expect_max]) and bits(l2s) == bits([0.25, *expect_l2])
+                assert bits(block[0]) == bits(rows[-1])  # the current residual, signed, for the next step
+            else:
+                with pytest.raises(FitError, match=f"^{re.escape(FLOAT_RANGE_MESSAGE.format(data_max))}$"):
+                    _statistics(block, count, data_max, maxes, l2s)
+
+
+class TestSweepCount:
+    """A plan is built once and swept ``extra_sweeps`` + 1 times, so a sweep count costs no memory."""
+
+    @pytest.mark.parametrize("fit", ["curve", "surface"])
+    def test_memory_does_not_grow_with_extra_sweeps_of_data_within_epsilon(self, fit):
+        x = cheb_zeros(9)
+        if fit == "curve":
+            samples, fitter = SampleSet1D(x=x, y=runge(x)), cvb_approximate
+        else:
+            samples, fitter = SampleSet2D(x=x, y=x[::-1], z=runge(x)), cvb_approximate_2d
+        peaks = []
+        for extra_sweeps in (0, 10**6):
+            tracemalloc.start()
+            try:
+                _, report = fitter(samples, FitConfig(epsilon=10.0, max_terms=3, extra_sweeps=extra_sweeps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.trace == () and report.converged
+        assert peaks[1] <= peaks[0] + 1024, peaks
+
+    def test_an_empty_plan_takes_no_step_however_many_sweeps(self):
+        tau = cheb_columns(RUNGE_15.x, 3).T
+        a, trace, converged = projection_sweeps(tau, RUNGE_15.y, FitConfig(0.0, 3, 10**9), [], {}, frozenset())
+        assert (a.tolist(), trace, converged) == ([0.0, 0.0, 0.0], [], False)
+
+    def test_sweeps_repeat_the_plan_until_epsilon_is_met(self):
+        # the third sweep's first visit meets epsilon: two whole sweeps, then the stop
+        _, two = cvb_approximate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=5, extra_sweeps=1))
+        config = FitConfig(epsilon=two.trace[-1].max_abs_residual, max_terms=5, extra_sweeps=10**9)
+        model, report = cvb_approximate(RUNGE_15, config)
+        assert report.trace == two.trace and report.converged
+        TestEngineBits.assert_same_bits(model.coeffs, report, oracle_approximate_1d(RUNGE_15, config))
+
+
+def test_interpolation_names_the_first_retained_component_that_is_not_finite(monkeypatch):
+    def poisoned(tau):
+        oset = orthogonalize(tau)
+        ortho = oset.ortho.copy()
+        ortho[[1, 5, 7], 2] = [np.nan, np.inf, np.nan]  # row 1 is skipped, so 5 is named
+        return OrthoSet(ortho=ortho, q=oset.q, skipped=oset.skipped | {1})
+
+    monkeypatch.setattr(fit1d, "orthogonalize", poisoned)
+    with pytest.raises(FitError, match="^orthogonal component of term 5 is not finite$"):
+        cvb_interpolate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=9))

@@ -115,8 +115,8 @@ class TestSweepPlan:
     def plans(self, monkeypatch):
         plans = []
 
-        def sweep(rows, norm2, gamma, plan, epsilon, labels):
-            plans.append(plan)
+        def sweep(rows, norm2, gamma, plan, epsilon, labels, sweeps):
+            plans.append(plan * sweeps)  # one pass, swept ``sweeps`` times
             return np.zeros(len(rows)), [], False  # only the plan is under test
 
         monkeypatch.setattr(fit1d, "_sweep", sweep)

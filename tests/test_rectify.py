@@ -337,9 +337,9 @@ class TestSharedSetUp:
         plans = []  # held, so no two plans share an id
         fit1d_sweep = fit1d._sweep
 
-        def sweep(rows, norm2, gamma, plan, epsilon, labels):
+        def sweep(rows, norm2, gamma, plan, epsilon, labels, sweeps):
             plans.append(plan)
-            return fit1d_sweep(rows, norm2, gamma, plan, epsilon, labels)
+            return fit1d_sweep(rows, norm2, gamma, plan, epsilon, labels, sweeps)
 
         monkeypatch.setattr(rectify, "SampleSet2D", counted(built, "SampleSet2D", SampleSet2D))
         monkeypatch.setattr(fit2d, "term_matrix", counted(built, "term_matrix", term_matrix))
