@@ -17,16 +17,7 @@ import numpy as np
 from .basis import SampleSet1D, auto_map
 from .fit1d import FitConfig, FitError, _scale_exponent, cvb_approximate, cvb_interpolate, eval_model_1d
 from .fit2d import SampleSet2D, cvb_approximate_2d
-from .rectify import (
-    ModelParseError,
-    WarpSpec,
-    _fmt,
-    calibrate,
-    load_model,
-    map_point,
-    save_model,
-    warp_image,
-)
+from .rectify import WarpSpec, _fmt, calibrate, load_model, map_point, save_model, warp_image
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -129,29 +120,27 @@ def _refuse_rows(path, columns, rows, lines):
 _CSV_BLOCK = 8192
 
 
-def _write_csv(path, columns, rows, labels=None):
-    """A CSV file: the header ``columns``, then one line per row of the real table ``rows``.
+def _write_csv(path, columns, rows, formats=None):
+    """A CSV file: the header ``columns``, then one line per row of the float table ``rows``.
 
-    Each real is written with 17 significant digits, as ``_fmt`` writes it,
-    and the first non-finite one in row order is refused before the file is
-    opened.  ``labels``, if given, is a pair (k, cells): column k holds those
-    str cells (the 2-D trace's ``i:j`` terms) as they are.  A block of rows is
-    formatted by one ``%`` over a template of that many lines.
+    ``formats`` holds one printf format per header column, ``%.17g`` (17
+    significant digits, as ``_fmt`` writes a real) by default; a format with
+    two conversions, such as the surface trace's ``%d:%d`` term, takes two
+    table columns.  A float64 table is formatted as it is, with no copy.  The
+    first non-finite value in row order is refused before the file is opened.
+    A block of rows is formatted by one ``%`` over a template of that many
+    lines.
     """
-    rows = np.asarray(rows, dtype=float).reshape(-1, len(columns) - (labels is not None))
+    line = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
+    rows = np.asarray(rows, dtype=float).reshape(-1, line.count("%"))
     finite = np.isfinite(rows).ravel()
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite value {float(rows.flat[finite.argmin()])!r}")
-    reals = [k for k in range(len(columns)) if labels is None or k != labels[0]]
-    line = ",".join("%.17g" if k in reals else "%s" for k in range(len(columns))) + "\n"
-    block = np.empty((max(1, _CSV_BLOCK // len(columns)), len(columns)), dtype=object)
+    block = max(1, _CSV_BLOCK // rows.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(rows), len(block)):
-            part = block[: min(len(block), len(rows) - start)]
-            part[:, reals] = rows[start : start + len(part)]
-            if labels is not None:
-                part[:, labels[0]] = labels[1][start : start + len(part)]
+        for start in range(0, len(rows), block):
+            part = rows[start : start + block]
             fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
@@ -189,30 +178,31 @@ def cmd_gen(args) -> int:
 
 
 def _write_trace(path, report, n_coeffs=0):
-    """Per-step trace CSV; curve traces also carry the coefficients after each step.
+    """Per-step trace CSV, from one float table; curve traces also carry the coefficients after each step.
 
-    Approximation steps store only their increment, so their coefficients are
-    the running sum per term: the fit's own additions, in its order.  Summed
-    down the steps from a row of zeros, each step adds its increment to its
-    term and 0.0, which changes no sum, to every other.
+    A surface's term takes two integer columns, written ``i:j``.  Approximation
+    steps store only their increment, so their coefficients are the running
+    sum per term: the fit's own additions, in its order.  Summed down the steps
+    from a row of zeros, each step adds its increment to its term and 0.0,
+    which changes no sum, to every other.
     """
-    trace = report.trace
-    columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"]
-    columns += [f"a{j}" for j in range(n_coeffs)]
-    steps = np.arange(1, len(trace) + 1)
-    stats = np.array([(e.increment, e.max_abs_residual, e.l2_residual) for e in trace]).reshape(-1, 3)
-    if not n_coeffs:  # a surface, whose terms are written i:j
-        _write_csv(path, columns, np.column_stack((steps, stats)),
-                   labels=(1, [f"{e.term[0]}:{e.term[1]}" for e in trace]))
-        return
-    terms = np.array([e.term for e in trace], dtype=int)
-    if trace and trace[0].coeffs is not None:
-        coeffs = np.array([e.coeffs for e in trace])
-    else:
-        sums = np.zeros((len(trace) + 1, n_coeffs))
-        sums[steps, terms] = stats[:, 0]
-        coeffs = np.add.accumulate(sums)[1:]
-    _write_csv(path, columns, np.column_stack((steps, terms, stats, coeffs)))
+    trace, width = report.trace, 1 if n_coeffs else 2  # a surface's term is i, j
+    columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"] + [f"a{j}" for j in range(n_coeffs)]
+    formats = ["%.17g"] * len(columns)
+    formats[1] = "%d" if n_coeffs else "%d:%d"
+    table = np.zeros((len(trace), 4 + width + n_coeffs))
+    table[:, 0] = np.arange(1, len(trace) + 1)
+    table[:, 1 : 1 + width] = np.reshape([e.term for e in trace], (-1, width))
+    stats = [(e.increment, e.max_abs_residual, e.l2_residual) for e in trace]
+    table[:, 1 + width : 4 + width] = np.reshape(stats, (-1, 3))
+    coeffs = table[:, 4 + width :]
+    if trace and trace[0].coeffs is not None:  # interpolation snapshots
+        coeffs[:] = [e.coeffs for e in trace]
+    elif trace and n_coeffs:
+        coeffs[np.arange(len(trace)), table[:, 1].astype(int)] = table[:, 2]  # each increment at its term
+        coeffs[0] += 0.0  # the sum from zeros: 0.0 + -0.0 is 0.0
+        np.add.accumulate(coeffs, axis=0, out=coeffs)
+    _write_csv(path, columns, table, formats)
 
 
 def cmd_fit1d(args) -> int:
@@ -227,13 +217,13 @@ def cmd_fit1d(args) -> int:
     samples, xmap = _load_samples_1d(args.input)
     fit = cvb_interpolate if args.algorithm == "interp" else cvb_approximate
     model, report = fit(samples, _fit_config(args, samples.m), xmap=xmap)
-    for coeff in model.coeffs:
-        print(_fmt(coeff))
     if args.trace:
         _write_trace(args.trace, report, model.n)
     if args.sample:
         xs = np.linspace(xmap.lo, xmap.hi, count[0])
         _write_csv(args.sample[1], ("x", "P(x)"), np.column_stack((xs, eval_model_1d(model, xs))))
+    for coeff in model.coeffs:
+        print(_fmt(coeff))
     if not report.converged:
         print(f"converged=false (max-abs residual above epsilon={_fmt(args.epsilon)})", file=sys.stderr)
         if args.strict:
@@ -432,7 +422,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (ValueError, FitError, ModelParseError) as exc:
+    except (ValueError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:  # e.g. a huge --width/--height or --degree-bound

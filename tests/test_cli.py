@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,14 @@ class TestFit1D:
             assert [float(v) for v in row[5:]] == a
         assert rows[-1][5:] == stdout.split()
 
+    def test_a_first_increment_of_negative_zero_sums_to_zero(self, tmp_path, capsys):
+        # -5e-324 / 3 rounds to -0.0; the coefficients are summed from 0.0, and 0.0 + -0.0 is 0.0
+        data, trace = tmp_path / "tiny.csv", tmp_path / "trace.csv"
+        data.write_text("x,y\n-1,-5e-324\n0,0\n1,0\n")
+        code, _, _ = run(capsys, "fit1d", "--input", str(data), "--max-terms", "1", "--trace", str(trace))
+        assert code == EXIT_OK
+        assert trace.read_text().splitlines()[1].split(",")[2::3] == ["-0", "0"]  # increment, a0
+
     def test_extra_sweeps_are_refused_for_interpolation(self, tmp_path, capsys):
         # refused before any input is read: the input does not exist, and no trace is written
         trace = tmp_path / "t.csv"
@@ -220,6 +229,34 @@ class TestFit1D:
     def test_missing_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "fit1d", "--input", "/does/not/exist.csv")
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("flag", ["--trace", "--sample"])
+    def test_an_unwritable_output_prints_no_coefficients(self, quad_csv, tmp_path, capsys, flag):
+        # the files are written before the coefficients are printed, as every other command does
+        path = str(tmp_path / "missing" / "out.csv")
+        request = [flag, path] if flag == "--trace" else [flag, "5", path]
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(quad_csv), *request)
+        assert (code, stdout) == (EXIT_IO, "")
+        assert stderr.startswith("error: ") and "out.csv" in stderr
+
+    def test_the_trace_is_written_from_one_table(self, tmp_path):
+        from cvb.cli import _write_trace
+        from cvb.synthetic import runge
+
+        m = 60
+        x = cvb.cheb_zeros(m)
+        y = runge(x) + 0.01 * np.random.default_rng(1).standard_normal(m)
+        model, report = cvb.cvb_approximate(cvb.SampleSet1D(x=x, y=y), cvb.FitConfig(epsilon=0.0, max_terms=m))
+        table = len(report.trace) * (m + 5) * 8  # step, term, increment, two residuals, m coefficients
+        assert len(report.trace) == m * (m + 1) // 2
+        tracemalloc.start()
+        try:
+            _write_trace(tmp_path / "trace.csv", report, model.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table, a block of formatted rows, and no copy of the table
+        assert peak < 2 * table + 512 * 1024, (peak, table)
 
     def test_strict_non_convergence_exits_three(self, quad_csv, capsys):
         code, _, stderr = run(capsys, "fit1d", "--input", str(quad_csv), "--algorithm", "approx",
@@ -785,7 +822,7 @@ def csv_oracle(columns, rows, labels=None):
 
 @st.composite
 def csv_tables(draw):
-    """(columns, rows, labels) for ``_write_csv``; labels, when drawn, are ``i:j`` cells at some column."""
+    """(columns, rows, labels) of a CSV table; labels, when drawn, are ``i:j`` cells at some column."""
     width = draw(st.integers(1, 5))
     cell = st.one_of(st.sampled_from(EDGE_FLOATS + [-v for v in EDGE_FLOATS]), BIT_FLOATS)
     rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=30))
@@ -794,6 +831,20 @@ def csv_tables(draw):
         pairs = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=len(rows), max_size=len(rows)))
         labels = (draw(st.integers(0, width)), [f"{i}:{j}" for i, j in pairs])
     return [f"c{k}" for k in range(width + (labels is not None))], rows, labels
+
+
+def written_table(columns, rows, labels):
+    """``_write_csv``'s table and formats for ``rows`` whose column k holds ``labels``' i:j cells.
+
+    The pair goes in as two integer columns at k, written by the format ``%d:%d``.
+    """
+    formats = ["%.17g"] * len(columns)
+    if labels is None:
+        return rows, formats
+    k, cells = labels
+    formats[k] = "%d:%d"
+    pairs = [[int(n) for n in cell.split(":")] for cell in cells]
+    return [row[:k] + pair + row[k:] for row, pair in zip(rows, pairs)], formats
 
 
 class TestCsvCells:
@@ -807,7 +858,7 @@ class TestCsvCells:
 
         columns, rows, labels = table
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
-        _write_csv(path, columns, rows, labels)
+        _write_csv(path, columns, *written_table(columns, rows, labels))
         assert path.read_bytes() == csv_oracle(columns, rows, labels)
 
     @pytest.mark.parametrize("labels", [False, True])
@@ -816,12 +867,12 @@ class TestCsvCells:
 
         bits = np.random.default_rng(6).integers(0, 2**64, size=(_CSV_BLOCK // 2 + 7, 5), dtype=np.uint64)
         rows = bits.view(np.float64)
-        rows = np.where(np.isfinite(rows), rows, -0.0)
+        rows = np.where(np.isfinite(rows), rows, -0.0).tolist()
         cells = (1, [f"{k}:{k % 7}" for k in range(len(rows))]) if labels else None
         columns = [f"c{k}" for k in range(5 + labels)]
         path = tmp_path / "rows.csv"
-        _write_csv(path, columns, rows, cells)
-        assert path.read_bytes() == csv_oracle(columns, rows.tolist(), cells)
+        _write_csv(path, columns, *written_table(columns, rows, cells))
+        assert path.read_bytes() == csv_oracle(columns, rows, cells)
 
     @pytest.mark.parametrize("body, message", [
         (b"1,2\n3,4,5\n6,x\n", "3: expected 2 fields, got 3"),

@@ -1,5 +1,6 @@
 """Bivariate fitting: visit ordering, revisit restriction, triangular surfaces."""
 
+import inspect
 import tracemalloc
 import warnings
 
@@ -114,12 +115,17 @@ class TestSweepPlan:
     @pytest.fixture
     def plans(self, monkeypatch):
         plans = []
+        sweep = fit1d._sweep
 
-        def sweep(rows, norm2, gamma, plan, epsilon, labels, sweeps):
-            plans.append(plan * sweeps)  # one pass, swept ``sweeps`` times
-            return np.zeros(len(rows)), [], False  # only the plan is under test
+        def record(*args, **kwargs):
+            call = inspect.signature(sweep).bind(*args, **kwargs)
+            call.apply_defaults()
+            plans.append(call.arguments["plan"] * call.arguments["sweeps"])  # one pass, swept ``sweeps`` times
+            # only the plan is under test: at epsilon 0 a zero target stops before the first visit
+            call.arguments["gamma"] = np.zeros_like(call.arguments["gamma"])
+            return sweep(*call.args, **call.kwargs)
 
-        monkeypatch.setattr(fit1d, "_sweep", sweep)
+        monkeypatch.setattr(fit1d, "_sweep", record)
         return plans
 
     @staticmethod

@@ -1,23 +1,26 @@
 """Parser fuzzing through the CLI: every input is a result or a documented error.
 
-Each suite writes one generated file and runs ``cli.main`` on it.  The
-invariant is the same for CSV points (``apply --points``), PPM/PGM images
-(``warp --input``) and calibration documents (``apply --model``): exit 0, or
-exit 1 with a message that starts ``error: ``, and never an exception out of
-``main``.  The seed examples are the hostile inputs that once escaped as
-tracebacks.  Overflow warnings from evaluating extreme points are ignored
-here; such points end in the non-finite-output error.
+The file suites write one generated file and run ``cli.main`` on it; the argv
+suite generates each subcommand's flags.  The invariant is the same for CSV
+points (``apply --points``), PPM/PGM images (``warp --input``), calibration
+documents (``apply --model``) and command lines: exit 0 (or 3 under
+``--strict``), or exit 1 with a message that starts ``error: ``, and never an
+exception or a ``SystemExit`` out of ``main``.  The seed examples are the
+hostile inputs that once escaped as tracebacks.  Overflow warnings from
+evaluating extreme points are ignored here; such points end in the
+non-finite-output error.
 """
 
 import contextlib
 import io
 import json
+from pathlib import PurePath
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cvb.cli import EXIT_OK, EXIT_VALIDATION, main
+from cvb.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from cvb.fit1d import FitConfig
 from cvb.rectify import Correspondence, calibrate, save_model
 
@@ -37,16 +40,34 @@ def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "model.json").write_text(MODEL)
     (path / "points.csv").write_text("u,v\n1,2\n8,6\n15.5,0\n")
+    (path / "truth.csv").write_text("u,v,X,Y\n1,2,1,2\n8,6,8.5,6\n15.5,0,15,0\n")
+    (path / "pairs.csv").write_text("u,v,X,Y\n" + "".join(f"{u},{v},{1.5 * u + 0.1 * v * v},{v - 0.05 * u * v}\n"
+                                                          for u in range(5) for v in range(4)))
+    (path / "curve.csv").write_text("x,y\n" + "".join(f"{x},{1 / (1 + 25 * x * x)}\n" for x in np.linspace(-1, 1, 12)))
+    (path / "cloud.csv").write_text("x,y,z\n" + "".join(f"{x},{y},{np.sin(3 * x) * y}\n"
+                                                        for x in np.linspace(-1, 1, 4) for y in np.linspace(0, 2, 4)))
+    (path / "image.pgm").write_bytes(b"P5\n4 3 255\n" + bytes(range(0, 240, 20)))
     return path
 
 
 def run_cli(*argv):
-    """Run the CLI and check the invariant: exit 0, or exit 1 with ``error: ``."""
+    """Run the CLI and check the invariant: exit 0 (or 3 under --strict), or exit 1 with ``error: ``."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    assert code == EXIT_OK or (code == EXIT_VALIDATION and err.getvalue().startswith("error: ")), \
-        (code, err.getvalue())
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # only --help may end the process, and no case asks for it
+            pytest.fail(f"SystemExit({exc.code!r}) left main: {err.getvalue()!r}")
+    done = code == EXIT_OK or (code == EXIT_NOT_CONVERGED and strict(argv))
+    assert done or (code == EXIT_VALIDATION and err.getvalue().startswith("error: ")), (code, err.getvalue())
+
+
+def strict(argv):
+    """Whether the parser reads ``--strict`` in argv (argparse also takes an abbreviation such as ``--st``)."""
+    try:
+        return getattr(build_parser().parse_args(list(argv)), "strict", False)
+    except ValueError:
+        return False
 
 
 # --- CSV --------------------------------------------------------------------
@@ -178,3 +199,110 @@ def test_model_document(workdir, document):
     model.write_bytes(document)
     run_cli("apply", "--model", str(model), "--points", str(workdir / "points.csv"),
             "--out", str(workdir / "fuzz_mapped.csv"))
+
+
+# --- argv -------------------------------------------------------------------
+
+
+def _small(text):
+    """False for a string int() reads as a number beyond 12, so no case asks for a large fit, schedule or image."""
+    try:
+        return abs(int(text)) <= 12
+    except ValueError:
+        return True
+
+
+def _not_help(text):
+    """False for a string argparse reads as -h, --help or a prefix of --help: those print help and exit 0."""
+    head = text.split("=", 1)[0]
+    return not (text.startswith("-h") or (len(head) > 2 and "--help".startswith(head)))
+
+
+# digit-group underscores, non-ASCII digits and spaces, signs, overflow, nan, inf, empty strings and words
+HOSTILE = st.sampled_from(["", " ", "1_0", "\uff13", "\u0663", "1\u00a0", "\u20072", "+3", "-3", "-0", " 7 ", "3.0",
+                           "1e1", "1e400", "-1e400", "nan", "-nan", "inf", "-inf", "0x10", "x", "-", "--", "3,4"])
+TEXT = st.text(max_size=4).filter(_small)
+
+
+def values(numbers):
+    """A flag value: three times in five a value that parses (and stays small), else a hostile string or short text."""
+    return st.one_of(numbers, numbers, numbers, HOSTILE, TEXT).filter(_not_help)
+
+
+SIZES = values(st.integers(-2, 12).map(str))
+SWEEPS = values(st.integers(-1, 3).map(str))
+REALS = values(st.floats().map(repr) | st.floats(0, 2).map(str))
+# mostly inside the fixture's 16 x 12 frame, else any parts
+WINDOWS = values(st.tuples(*[st.floats(0, 8), st.floats(9, 20)] * 2).map(lambda w: ",".join(map(repr, w)))
+                 | st.lists(st.floats().map(repr) | SIZES | HOSTILE, min_size=3, max_size=5).map(",".join))
+FILLS = values(st.lists(st.integers(-1, 300).map(str) | HOSTILE, min_size=1, max_size=4).map(",".join))
+SWITCH = None  # a flag that takes no value
+
+# per subcommand: (flag, value) pairs it requires, then those it may take; a PurePath value is a file
+# of the fixture's directory, and the positional kind of gen is written as the flag ""
+COMMANDS = {
+    "gen": ({"": st.sampled_from(["runge", "humped-flat", "noisy-line", "correspondences", "spline"]),
+             "--out": st.just(PurePath("gen.csv"))},
+            {"--m": SIZES, "--seed": SIZES}),
+    "fit1d": ({"--input": st.just(PurePath("curve.csv"))},
+              {"--algorithm": st.sampled_from(["interp", "approx"]), "--epsilon": REALS, "--max-terms": SIZES,
+               "--extra-sweeps": SWEEPS, "--trace": st.just(PurePath("trace.csv")), "--strict": st.just(SWITCH),
+               "--sample": st.tuples(SIZES, st.just(PurePath("sample.csv")))}),
+    "fit2d": ({"--input": st.just(PurePath("cloud.csv"))},
+              {"--epsilon": REALS, "--max-terms": SIZES, "--extra-sweeps": SWEEPS,
+               "--trace": st.just(PurePath("trace.csv")), "--strict": st.just(SWITCH)}),
+    "calibrate": ({"--pairs": st.just(PurePath("pairs.csv")), "--out": st.just(PurePath("calibrated.json"))},
+                  {"--epsilon": REALS, "--inverse-epsilon": REALS, "--degree-bound": SIZES,
+                   "--strict": st.just(SWITCH)}),
+    "apply": ({"--model": st.just(PurePath("model.json")), "--points": st.just(PurePath("points.csv")),
+               "--out": st.just(PurePath("applied.csv"))}, {}),
+    "warp": ({"--model": st.just(PurePath("model.json")), "--input": st.just(PurePath("image.pgm")),
+              "--output": st.just(PurePath("warped.pgm")), "--window": WINDOWS},
+             {"--width": SIZES, "--height": SIZES, "--fill": FILLS}),
+    "eval": ({"--model": st.just(PurePath("model.json")), "--truth": st.just(PurePath("truth.csv"))}, {}),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with its required flags (each one now and then missing) and a few of its other flags.
+
+    A value goes in as its own word or as ``--flag=value``, in any order of the flags.
+    """
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    flags = [f for f in required if draw(st.integers(0, 9))] + [f for f in optional if draw(st.booleans())]
+    words = []
+    for flag in draw(st.permutations(flags)):
+        value = draw({**required, **optional}[flag])
+        if flag == "":
+            words.append([value])
+        elif value is SWITCH:
+            words.append([flag])
+        elif isinstance(value, tuple):
+            words.append([flag, *value])
+        elif isinstance(value, str) and draw(st.booleans()):
+            words.append([f"{flag}={value}"])
+        else:
+            words.append([flag, value])
+    return [command, *(word for group in words for word in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=["fit1d", "--input", PurePath("curve.csv"), "--max-terms", "\uff13", "--epsilon", "1_0e-3"])
+@example(argv=["fit1d", "--input", PurePath("curve.csv"), "--max-terms", "1e400"])
+@example(argv=["fit1d", "--input", PurePath("curve.csv"), "--epsilon=-1e400"])
+@example(argv=["fit1d", "--input", PurePath("curve.csv"), "--epsilon=1e-300", "--max-terms", "3", "--st"])
+@example(argv=["fit1d", "--input", PurePath("curve.csv"), "--epsilon", "1e-300", "--strict", "--sample", "nan",
+               PurePath("sample.csv")])
+@example(argv=["fit2d", "--input", PurePath("cloud.csv"), "--max-terms=12", "--extra-sweeps", "3", "--epsilon=inf"])
+@example(argv=["calibrate", "--pairs", PurePath("pairs.csv"), "--out", PurePath("calibrated.json"),
+               "--degree-bound", "1", "--inverse-epsilon", "nan"])
+@example(argv=["warp", "--model", PurePath("model.json"), "--input", PurePath("image.pgm"), "--output",
+               PurePath("warped.pgm"), "--window=1e308,1.2e308,0,1", "--width", "4", "--fill", "2,3"])
+@example(argv=["gen", "runge", "--m", "1", "--out", PurePath("gen.csv")])
+@example(argv=["gen", "--seed=-3", "noisy-line", "--out", PurePath("gen.csv")])
+@example(argv=["eval", "--truth", PurePath("truth.csv")])
+def test_command_line(workdir, argv):
+    run_cli(*(str(workdir / word) if isinstance(word, PurePath) else word for word in argv))

@@ -1,5 +1,6 @@
 """Calibration, point mapping, warping, and model serialization."""
 
+import inspect
 import json
 import math
 import tracemalloc
@@ -337,9 +338,9 @@ class TestSharedSetUp:
         plans = []  # held, so no two plans share an id
         fit1d_sweep = fit1d._sweep
 
-        def sweep(rows, norm2, gamma, plan, epsilon, labels, sweeps):
-            plans.append(plan)
-            return fit1d_sweep(rows, norm2, gamma, plan, epsilon, labels, sweeps)
+        def sweep(*args, **kwargs):
+            plans.append(inspect.signature(fit1d_sweep).bind(*args, **kwargs).arguments["plan"])
+            return fit1d_sweep(*args, **kwargs)
 
         monkeypatch.setattr(rectify, "SampleSet2D", counted(built, "SampleSet2D", SampleSet2D))
         monkeypatch.setattr(fit2d, "term_matrix", counted(built, "term_matrix", term_matrix))
