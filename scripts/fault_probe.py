@@ -10,10 +10,10 @@ at the sizes of the perfbench workloads (``--size full``: Runge plus noise
 at 1,000 Chebyshev zeros fitted with 60 terms, a 2,000-point cloud with
 degree bound 12, a 16x12 calibration grid, a 640x480 warp,
 100,000 mapped points, and the CLI's text files: the 640x480 RGB plain PPM
-that ``cvb warp`` reads, the 5,000-row CSV that ``cvb apply`` writes and the
-1,830-step trace of the curve approximation that ``cvb fit1d --trace``
-writes), or much smaller with ``--size tiny`` (the raster keeps the camera's
-size).
+that ``cvb warp`` reads, the 5,000-row CSV that ``cvb apply`` writes and
+``cvb eval`` reads, and the 1,830-step trace of the curve approximation that
+``cvb fit1d --trace`` writes), or much smaller with ``--size tiny`` (the
+raster keeps the camera's size).
 
     python3 scripts/fault_probe.py [--size tiny] [--repeats 11] [--seed 1]
 """
@@ -41,7 +41,7 @@ from cvb import (
     map_point,
     warp_image,
 )
-from cvb.cli import _write_csv, _write_trace
+from cvb.cli import _read_csv, _write_csv, _write_trace
 from cvb.fit2d import SampleSet2D, term_matrix, visit_order
 from cvb.ppm import read_image, write_image
 from cvb.synthetic import DistortionParams, distort, runge
@@ -121,6 +121,7 @@ def main():
         (f"write_image plain ({image.shape[1]}x{image.shape[0]} RGB)", lambda: write_image(plain, image, plain=True)),
         (f"read_image plain ({image.shape[1]}x{image.shape[0]} RGB)", lambda: read_image(plain)),
         (f"_write_csv ({rows} rows u,v,X,Y)", lambda: _write_csv(csv_path, ("u", "v", "X", "Y"), table)),
+        (f"_read_csv ({rows} rows u,v,X,Y)", lambda: _read_csv(csv_path, ("u", "v", "X", "Y"))),
         (f"_write_trace ({len(curve_report.trace)} steps)",
          lambda: _write_trace(trace_path, curve_report, curve_model.n)),
     )

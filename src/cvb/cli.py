@@ -65,55 +65,37 @@ def _read_csv(path, columns):
     """Strict CSV reader: exact header, one float per declared column.
 
     Returns the rows as an array and the file line of each row (blank lines
-    are skipped, so a row's index is not its line).  The whole table is
-    parsed and checked at once; only when that refuses are the rows walked
-    in order, so that the first bad row is the one named.
+    are skipped, so a row's index is not its line).  Rows are read and
+    checked one at a time, in file order, so the first bad row is the one
+    named, and a read error is raised once the rows before it have passed.
+    One leading UTF-8 byte-order mark is not part of the header.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    values, lines = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
+        try:  # a csv.Error is e.g. a field over the csv module's size limit
             header = next(reader, None)
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if [h.strip() for h in header] != list(columns):
-            raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {','.join(header)!r}")
-        # a read error is raised once the rows before it are checked, as a row-by-row read would
-        records, read_error = [], None
-        try:
-            for record in reader:
-                records.append(record)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if [h.strip() for h in header] != list(columns):
+                raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {','.join(header)!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
+                numbers = _numbers(row)
+                if numbers is None:
+                    raise ValueError(f"{path}:{lineno}: non-numeric field in {row}")
+                if not all(map(math.isfinite, numbers)):
+                    raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
+                values += numbers
+                lines.append(lineno)
         except csv.Error as exc:
-            read_error = ValueError(f"{path}:{reader.line_num}: {exc}")
-        except UnicodeDecodeError as exc:  # raised where the undecodable bytes are read
-            read_error = exc
-    lines = [lineno for lineno, row in enumerate(records, start=2) if row]
-    rows = [row for row in records if row]
-    data = None
-    if read_error is None and all(len(row) == len(columns) for row in rows):
-        values = _numbers([cell for row in rows for cell in row])
-        if values is not None:
-            data = np.array(values).reshape(len(rows), len(columns))
-    if data is None or not np.isfinite(data).all():
-        _refuse_rows(path, columns, rows, lines)
-        if read_error is not None:
-            raise read_error
-    if not rows:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    return data, lines
-
-
-def _refuse_rows(path, columns, rows, lines):
-    """Raise for the first row that has the wrong field count, a non-numeric or a non-finite field."""
-    for row, lineno in zip(rows, lines):
-        if len(row) != len(columns):
-            raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
-        values = _numbers(row)
-        if values is None:
-            raise ValueError(f"{path}:{lineno}: non-numeric field in {row}")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
+    return np.array(values).reshape(len(lines), len(columns)), lines
 
 
 # cells per block of formatted CSV rows
@@ -265,7 +247,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_model_file(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return load_model(fh.read())
 
 

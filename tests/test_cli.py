@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import csv
 import math
 import os
 import struct
@@ -982,6 +983,171 @@ class TestCsvCells:
             assert (code, stdout) == (EXIT_OK, f"{n}\n")
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+def row_walk_oracle(path, columns):
+    """Oracle: the rows ``_read_csv`` returns for ``path``, or the message it refuses the file with.
+
+    Every record is read first; the records up to a read error are then held,
+    one at a time in file order, to the rule: the declared field count, cells
+    of plain ASCII numbers (no ``_``), finite values.  The read error stands
+    only when every non-blank row before it passes.
+    """
+    records, read_error = [], None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for record in reader:
+                records.append(record)
+        except csv.Error as exc:
+            read_error = f"{path}:{reader.line_num}: {exc}"
+        except UnicodeDecodeError as exc:
+            read_error = str(exc)
+    assert read_error is not None or records[0] == list(columns)
+    values, lines = [], []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            return f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}"
+        numbers = []
+        for cell in row:
+            try:
+                numbers.append(float(cell) if cell.isascii() and "_" not in cell else None)
+            except ValueError:
+                numbers.append(None)
+        if None in numbers:
+            return f"{path}:{lineno}: non-numeric field in {row}"
+        if not all(map(math.isfinite, numbers)):
+            return f"{path}:{lineno}: non-finite field in {row}"
+        values += numbers
+        lines.append(lineno)
+    if read_error is not None:
+        return read_error
+    if not lines:
+        return f"{path}: no data rows"
+    return values, lines
+
+
+GOOD_CELLS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "+7", ".5", "1.", " 3 ", "2.5e-3", "5e-324", "1.7976931348623157e308",
+                     '"4"', '" 8 "', "-1E+2"]),
+    BIT_FLOATS.map(repr),
+)
+BAD_CELLS = st.sampled_from(["nan", "-inf", "Infinity", "1e400", "1_0", "\uff13", "\ufeff1", "x", "", "0x10",
+                             '"1\n2"', '"1,2"', '"1', "1\x00"])
+# a block of good rows past the text reader's 8 KiB chunk, so that later bytes are decoded after rows are read
+PADDING = 2100
+
+
+@st.composite
+def csv_files(draw):
+    """(columns, bytes) of a CSV file: the header, then good rows, blank lines and faults of every kind."""
+    columns = draw(st.sampled_from([("u", "v"), ("u", "v", "X", "Y")]))
+    width = len(columns)
+    good = st.lists(GOOD_CELLS, min_size=width, max_size=width).map(",".join)
+    bad = st.one_of(
+        st.lists(GOOD_CELLS, min_size=1, max_size=width + 2).filter(lambda cells: len(cells) != width).map(",".join),
+        # one bad cell among good ones, at a drawn column
+        st.tuples(st.lists(GOOD_CELLS, min_size=width - 1, max_size=width - 1), BAD_CELLS, st.integers(0, width - 1))
+        .map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:])),
+        st.just(" "),
+    )
+    kinds = st.one_of(good, good, good, st.just(""), bad)
+    lines = [line.encode() for line in draw(st.lists(kinds, max_size=12))]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), b"\n".join([",".join(["1"] * width).encode()] * PADDING))
+    if draw(st.booleans()):
+        # undecodable bytes, a NUL, a field over the csv module's size limit
+        fault = draw(st.sampled_from([b"\xff,1", b"1,\xc3", b"\xed\xa0\x80", b"1\x00,2", b"9" * 131_073 + b",1"]))
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return columns, newline.join([",".join(columns).encode(), *lines]) + draw(st.sampled_from([newline, b""]))
+
+
+class TestCsvRows:
+    @settings(max_examples=200, deadline=None)
+    @given(table=csv_files())
+    @example(table=(("u", "v"), b"u,v\n1,2\n\n3,x\n4,5,6\nnan,1\n"))
+    @example(table=(("u", "v"), b"u,v\n" + b"1,2\n" * PADDING + b"3,4\n\xff,1\n5,x\n"))
+    @example(table=(("u", "v"), b"u,v\n" + b"1,2\n" * PADDING + b"3,x\n\xff,1\n"))
+    @example(table=(("u", "v"), b'u,v\n1,"2\n3"\n' + b"9" * 131_073 + b",1\n4,y\n"))
+    @example(table=(("u", "v"), b'u,v\n1,"2"\n\n' + b"9" * 131_073 + b",1\n4,y\n"))
+    @example(table=(("u", "v", "X", "Y"), b'u,v,X,Y\r\n\r\n-0,"5e-324",1,2\r\n'))
+    @example(table=(("u", "v"), b"u,v\n\n"))
+    def test_the_reader_is_a_row_walk(self, tmp_path_factory, table):
+        from cvb.cli import _read_csv
+
+        columns, body = table
+        path = tmp_path_factory.mktemp("rows") / "table.csv"
+        path.write_bytes(body)
+        expect = row_walk_oracle(path, columns)
+        if isinstance(expect, str):
+            with pytest.raises(ValueError) as exc:
+                _read_csv(path, columns)
+            assert str(exc.value) == expect
+            return
+        data, lines = _read_csv(path, columns)
+        values, expect_lines = expect
+        assert data.dtype == np.float64 and data.shape == (len(expect_lines), len(columns))
+        assert data.tobytes() == struct.pack(f"<{len(values)}d", *values)
+        assert lines == expect_lines
+
+    def test_reading_a_table_keeps_no_copy_of_its_rows(self, tmp_path):
+        from cvb.cli import _read_csv
+
+        n = 50_000
+        path = tmp_path / "pts.csv"
+        rng = np.random.default_rng(8)
+        path.write_text("u,v\n" + "".join(f"{u!r},{v!r}\n" for u, v in rng.uniform(0, 640, (n, 2)).tolist()))
+        tracemalloc.start()
+        try:
+            data, lines = _read_csv(path, ("u", "v"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (n, 2) and lines[-1] == n + 1
+        # a float and a line number per row, and the array; no list of the rows' strings
+        assert peak < 300 * n, peak / n
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF, as spreadsheets write in "CSV UTF-8", is not part of a file's text."""
+
+    def test_a_csv_file_may_start_with_one(self, quad_csv, tmp_path, capsys):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + quad_csv.read_bytes())
+        plain = run(capsys, "fit1d", "--input", str(quad_csv))
+        assert plain[0] == EXIT_OK
+        assert run(capsys, "fit1d", "--input", str(marked)) == plain
+
+    def test_a_model_document_may_start_with_one(self, identity_model, tmp_path, capsys):
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + identity_model.read_bytes())
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,v\n1,2\n3.5,4\n15,0.25\n")
+        mapped = []
+        for model in (identity_model, marked):
+            out = tmp_path / f"{model.stem}.out.csv"
+            assert run(capsys, "apply", "--model", str(model), "--points", str(pts), "--out", str(out)) == \
+                (EXIT_OK, "3\n", "")
+            mapped.append(out.read_bytes())
+        assert mapped[0] == mapped[1]
+
+    @pytest.mark.parametrize("lead", ["", "\ufeff"])
+    def test_a_mark_in_a_cell_is_non_numeric(self, tmp_path, capsys, lead):
+        data = tmp_path / "bom.csv"
+        data.write_text(f"{lead}x,y\n1,1\n\ufeff1,2\n3,3\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(data))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == f"error: {data}:3: non-numeric field in ['\\ufeff1', '2']\n"
+
+    def test_only_one_leading_mark_is_dropped(self, tmp_path, capsys):
+        data = tmp_path / "bom.csv"
+        data.write_text("\ufeff\ufeffx,y\n1,1\n2,2\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "fit1d", "--input", str(data))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == f"error: {data}: expected header 'x,y', got '\\ufeffx,y'\n"
 
 
 @pytest.fixture
