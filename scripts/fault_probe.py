@@ -9,11 +9,11 @@ fresh pages each time.  Inputs are seeded and built from ``cvb.synthetic``
 at the sizes of the perfbench workloads (``--size full``: Runge plus noise
 at 1,000 Chebyshev zeros fitted with 60 terms, a 2,000-point cloud with
 degree bound 12, a 16x12 calibration grid, a 640x480 warp,
-100,000 mapped points, and the CLI's text files: the 640x480 RGB plain PPM
-that ``cvb warp`` reads, the 5,000-row CSV that ``cvb apply`` writes and
-``cvb eval`` reads, and the 1,830-step trace of the curve approximation that
-``cvb fit1d --trace`` writes), or much smaller with ``--size tiny`` (the
-raster keeps the camera's size).
+100,000 mapped points and their extrapolation check, and the CLI's text
+files: the 640x480 RGB plain PPM that ``cvb warp`` reads, the 5,000-row CSV
+that ``cvb apply`` writes and ``cvb eval`` reads, and the 1,830-step trace
+of the curve approximation that ``cvb fit1d --trace`` writes), or much
+smaller with ``--size tiny`` (the raster keeps the camera's size).
 
     python3 scripts/fault_probe.py [--size tiny] [--repeats 11] [--seed 1]
 """
@@ -41,6 +41,7 @@ from cvb import (
     map_point,
     warp_image,
 )
+from cvb.basis import warn_if_extrapolating
 from cvb.cli import _read_csv, _write_csv, _write_trace
 from cvb.fit2d import SampleSet2D, term_matrix, visit_order
 from cvb.ppm import read_image, write_image
@@ -118,6 +119,7 @@ def main():
         (f"calibrate ({len(pairs)} pairs)", lambda: calibrate(pairs, fwd, inverse_config=inv)),
         (f"warp_image ({spec.width}x{spec.height})", lambda: warp_image(model, image, spec)),
         (f"map_point ({pu.size} points)", lambda: map_point(model, pu, pv)),
+        (f"warn_if_extrapolating ({pu.size} points)", lambda: warn_if_extrapolating(model.fwd_x.xmap, pu)),
         (f"write_image plain ({image.shape[1]}x{image.shape[0]} RGB)", lambda: write_image(plain, image, plain=True)),
         (f"read_image plain ({image.shape[1]}x{image.shape[0]} RGB)", lambda: read_image(plain)),
         (f"_write_csv ({rows} rows u,v,X,Y)", lambda: _write_csv(csv_path, ("u", "v", "X", "Y"), table)),

@@ -49,10 +49,6 @@ class DomainMap:
         t /= self.hi - self.lo
         return t
 
-    def contains(self, x):
-        pad = 1e-12 * (self.hi - self.lo)
-        return (x >= self.lo - pad) & (x <= self.hi + pad)
-
 
 IDENTITY_MAP = DomainMap(-1.0, 1.0)
 
@@ -197,13 +193,14 @@ def cheb_columns(x, count: int) -> np.ndarray:
     return np.moveaxis(rows.reshape((count, *shape)), 0, -1)
 
 
-def warn_if_extrapolating(xmap: DomainMap, x, axis: str = "x", stacklevel: int = 3) -> bool:
-    """Emit ExtrapolationWarning when any evaluation point leaves the fit interval; True if it did."""
-    if np.all(xmap.contains(np.asarray(x, dtype=float))):
-        return False
-    warnings.warn(
-        f"evaluation outside the fitted {axis} interval [{xmap.lo}, {xmap.hi}]",
-        ExtrapolationWarning,
-        stacklevel=stacklevel,
-    )
-    return True
+def warn_if_extrapolating(xmap: DomainMap, x, axis: str = "x", stacklevel: int = 3) -> None:
+    """Emit ExtrapolationWarning when x's least value lies below lo - pad or its greatest above hi + pad.
+
+    pad is 1e-12 of the span.  A NaN is both extremes, so it leaves; an empty x does not warn."""
+    x, pad = np.asarray(x, dtype=float), 1e-12 * (xmap.hi - xmap.lo)
+    if not (xmap.lo - pad <= x.min(initial=xmap.lo) and x.max(initial=xmap.hi) <= xmap.hi + pad):
+        warnings.warn(
+            f"evaluation outside the fitted {axis} interval [{xmap.lo}, {xmap.hi}]",
+            ExtrapolationWarning,
+            stacklevel=stacklevel,
+        )

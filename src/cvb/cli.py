@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -60,6 +61,35 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops the "--" of "--flag=--" and returns [], neither converted nor checked
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
+def _undecodable(path, last_line=math.inf):
+    """The refusal of the first byte of ``path`` that is not UTF-8 on lines 1 to ``last_line``, or None.
+
+    It names the byte's line, as ``newline=""`` text mode splits them, and
+    its offset from the start of the file.  Read with
+    ``errors="surrogateescape"``, such a byte is a lone surrogate, and a line
+    encoded back is its bytes.
+    """
+    offset = 0
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > last_line:
+                break
+            data = line.encode("utf-8", "surrogateescape")
+            try:
+                data.decode()
+            except UnicodeDecodeError as exc:
+                return (f"{path}:{lineno}: cannot decode byte 0x{data[exc.start]:02x} at file offset "
+                        f"{offset + exc.start} as UTF-8: {exc.reason}")
+            offset += len(data)
+    return None
+
 
 def _read_csv(path, columns):
     """Strict CSV reader: exact header, one float per declared column.
@@ -67,13 +97,16 @@ def _read_csv(path, columns):
     Returns the rows as an array and the file line of each row (blank lines
     are skipped, so a row's index is not its line).  Rows are read and
     checked one at a time, in file order, so the first bad row is the one
-    named, and a read error is raised once the rows before it have passed.
-    One leading UTF-8 byte-order mark is not part of the header.
+    named, and a read error, an undecodable byte included, is raised once
+    every row before it has passed.  A byte that is not UTF-8 is read as a
+    lone surrogate, which no header or row passes; so on a refusal, such a
+    byte on a line read so far is named instead.  One leading UTF-8
+    byte-order mark is not part of the header.
     """
     values, lines = [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        try:  # a csv.Error is e.g. a field over the csv module's size limit
+        try:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{path}: empty file")
@@ -91,8 +124,9 @@ def _read_csv(path, columns):
                     raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
                 values += numbers
                 lines.append(lineno)
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except (csv.Error, ValueError) as exc:  # a csv.Error is e.g. a field over the csv module's size limit
+            where = f"{path}:{reader.line_num}: " if isinstance(exc, csv.Error) else ""
+            raise ValueError(_undecodable(path, reader.line_num) or f"{where}{exc}") from None
     if not lines:
         raise ValueError(f"{path}: no data rows")
     return np.array(values).reshape(len(lines), len(columns)), lines
@@ -248,7 +282,11 @@ def cmd_calibrate(args) -> int:
 
 def _load_model_file(path):
     with open(path, encoding="utf-8-sig") as fh:
-        return load_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ValueError(_undecodable(path)) from None
+    return load_model(text)
 
 
 def _point(path, data, lines, k):
@@ -396,24 +434,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one stderr line, with no source path or line: the same bytes from any install."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except ValueError as exc:  # a flag or argument the parser refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        return args.func(args)
-    except (ValueError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError as exc:  # e.g. a huge --width/--height or --degree-bound
-        print(f"error: not enough memory for this {args.command} request ({str(exc) or 'allocation failed'})",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, FitError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except MemoryError as exc:  # e.g. a huge --width/--height or --degree-bound
+            print(f"error: not enough memory for this {args.command} request ({str(exc) or 'allocation failed'})",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

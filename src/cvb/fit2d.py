@@ -179,17 +179,15 @@ def _column_plan(models, coords):
     """Column count per distinct (axis, map) of ``models``: the most any of its surfaces uses.
 
     So the cost follows the terms, not the degree bound.  Warns once per axis
-    map that a coordinate in ``coords[axis]`` leaves.
+    map that a coordinate in ``coords[axis]`` leaves, by one check of its extremes.
     """
     counts = {}
     for model in models:
         for axis, dmap, n in zip("xy", (model.xmap, model.ymap), _reach(model)):
             counts[axis, dmap] = max(counts.get((axis, dmap), 1), n)
     for axis, dmap in counts:
-        for start in range(0, coords[axis].size, _BLOCK):
-            # two frames below a public evaluator, so warnings name its caller
-            if warn_if_extrapolating(dmap, coords[axis][start:start + _BLOCK], axis=axis, stacklevel=5):
-                break
+        # two frames below a public evaluator, so warnings name its caller
+        warn_if_extrapolating(dmap, coords[axis], axis=axis, stacklevel=5)
     return counts
 
 

@@ -1,21 +1,25 @@
 """Basis columns, zeros, domain maps, term vectors."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.chebyshev import chebvander
 
 from cvb.basis import (
     MIN_NODE_GAP,
     DomainMap,
+    ExtrapolationWarning,
     IDENTITY_MAP,
     SampleSet1D,
     auto_map,
     cheb_columns,
     cheb_zeros,
+    warn_if_extrapolating,
 )
 from cvb.fit2d import SampleSet2D, TermIndex2D, term_matrix
 
@@ -258,3 +262,67 @@ class TestTermVectors:
 
     def test_component_count_matches_samples(self):
         assert cheb_columns(THREE_NODES.x, 5).shape == (THREE_NODES.m, 5)
+
+
+def mask_rule_leaves(dmap, x):
+    """Oracle: the per-point mask rule, whether some point of x lies outside [lo - pad, hi + pad]."""
+    x = np.asarray(x, dtype=float)
+    pad = 1e-12 * (dmap.hi - dmap.lo)
+    return not np.all((x >= dmap.lo - pad) & (x <= dmap.hi + pad))
+
+
+@st.composite
+def extrapolation_cases(draw):
+    """A domain map and points around it: the padded edges, one step beyond each, NaN, infinities, any float."""
+    lo = draw(st.floats(-1e300, 1e300))
+    hi = draw(st.floats(-1e300, 1e300).filter(lambda h: h > lo) | st.just(np.nextafter(lo, np.inf)))
+    dmap = draw(st.sampled_from([DomainMap(lo, hi), IDENTITY_MAP]))
+    pad = 1e-12 * (dmap.hi - dmap.lo)
+    edges = [dmap.lo - pad, dmap.hi + pad]
+    near = st.sampled_from([*edges, np.nextafter(edges[0], -np.inf), np.nextafter(edges[1], np.inf),
+                            dmap.lo, dmap.hi, np.nan, np.inf, -np.inf, -0.0])
+    inside = st.floats(dmap.lo, dmap.hi)
+    points = st.lists(st.one_of(inside, inside, near, st.floats()), max_size=8)
+    x = draw(st.one_of(
+        points.map(lambda v: np.array(v, dtype=float)),
+        st.one_of(inside, near).map(np.float64),  # a 0-d input
+        st.one_of(inside, near),  # a Python float
+        points.map(lambda v: np.array(v + v, dtype=float).reshape(2, -1)),
+        st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=5).map(lambda v: np.array(v, dtype=np.int64)),
+    ))
+    return dmap, x
+
+
+class TestExtrapolationCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(case=extrapolation_cases())
+    @example(case=(IDENTITY_MAP, np.array([])))
+    @example(case=(IDENTITY_MAP, np.float64(np.nan)))
+    @example(case=(IDENTITY_MAP, np.array([0.5, np.nan, 0.25])))
+    @example(case=(IDENTITY_MAP, np.array([-1.0 - 2e-12, 1.0 + 2e-12])))
+    @example(case=(IDENTITY_MAP, np.array([np.nextafter(1.0 + 2e-12, 2.0)])))
+    @example(case=(IDENTITY_MAP, np.array([-np.inf])))
+    @example(case=(DomainMap(0.0, 640.0), np.array([0, 640, 641], dtype=np.int64)))
+    def test_the_extremes_decide_as_the_point_mask_did(self, case):
+        dmap, x = case
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert warn_if_extrapolating(dmap, x, axis="y", stacklevel=2) is None
+        expect = [f"evaluation outside the fitted y interval [{dmap.lo}, {dmap.hi}]"] * mask_rule_leaves(dmap, x)
+        assert [str(w.message) for w in caught] == expect
+        assert all(w.category is ExtrapolationWarning and w.filename == __file__ for w in caught)
+
+    @pytest.mark.parametrize("leaves", [False, True])
+    def test_the_check_allocates_nothing_per_point(self, leaves):
+        x = np.linspace(-1.0, 1.0, 10**6)
+        x[-1] += leaves
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tracemalloc.start()
+            try:
+                warn_if_extrapolating(IDENTITY_MAP, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(caught) == leaves
+        assert peak < 64 * 1024, peak

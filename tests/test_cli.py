@@ -1,8 +1,10 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import argparse
 import csv
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -16,8 +18,9 @@ from numpy.polynomial.chebyshev import chebval, chebval2d
 
 import cvb
 
-from cvb.cli import EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VALIDATION, main
+from cvb.cli import EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from cvb.ppm import read_image, write_image
+from cvb.rectify import load_model
 
 
 def run(capsys, *argv):
@@ -593,6 +596,16 @@ def test_the_cli_imports_only_what_a_command_runs():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def single_value_options():
+    """(subcommand, flag) of every option that takes one value, as ``build_parser`` declares them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[-1]) for name, parser in sub.choices.items()
+            for action in parser._actions if action.option_strings and action.nargs is None]
+
+
+SINGLE_VALUE_OPTIONS = single_value_options()
+
+
 class TestNumericFlags:
     """Every numeric flag reads plain ASCII numbers, as the CSV cells do, and a refusal names the flag."""
 
@@ -655,6 +668,11 @@ class TestNumericFlags:
     ])
     def test_a_parser_refusal_is_one_error_line_and_exit_1(self, capsys, argv, message):
         assert run(capsys, *argv) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, flag", SINGLE_VALUE_OPTIONS, ids=[" ".join(o) for o in SINGLE_VALUE_OPTIONS])
+    def test_an_attached_double_dash_is_refused_by_flag(self, capsys, command, flag):
+        # argparse takes "--flag=--" as no value at all, neither converted nor checked, and once passed it on as []
+        assert run(capsys, command, f"{flag}=--") == (EXIT_VALIDATION, "", f"error: argument {flag}: expected one argument\n")
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -988,21 +1006,38 @@ class TestCsvCells:
 def row_walk_oracle(path, columns):
     """Oracle: the rows ``_read_csv`` returns for ``path``, or the message it refuses the file with.
 
-    Every record is read first; the records up to a read error are then held,
-    one at a time in file order, to the rule: the declared field count, cells
-    of plain ASCII numbers (no ``_``), finite values.  The read error stands
-    only when every non-blank row before it passes.
+    The records are read in text mode, each undecodable byte kept as a lone
+    surrogate, up to a read error: a csv.Error, or the first line holding
+    such a byte, named by its line and its offset in the file (a record that
+    line cuts off is not read).  The records read are then held, one at a
+    time in file order, to the rule: the declared field count, cells of plain
+    ASCII numbers (no ``_``), finite values.  The read error stands only when
+    every non-blank row before it passes.
     """
-    records, read_error = [], None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    records, read_error, cut = [], None, []
+
+    def decoded(fh):
+        offset = 3 if path.read_bytes().startswith(b"\xef\xbb\xbf") else 0
+        for lineno, line in enumerate(fh, start=1):
+            raw = line.encode("utf-8", "surrogateescape")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                cut.append(f"{path}:{lineno}: cannot decode byte 0x{raw[exc.start]:02x} at file offset "
+                           f"{offset + exc.start} as UTF-8: {exc.reason}")
+                return
+            offset += len(raw)
+            yield line
+
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(decoded(fh))
         try:
             for record in reader:
-                records.append(record)
+                if not cut:
+                    records.append(record)
         except csv.Error as exc:
             read_error = f"{path}:{reader.line_num}: {exc}"
-        except UnicodeDecodeError as exc:
-            read_error = str(exc)
+    read_error = read_error or (cut[0] if cut else None)
     assert read_error is not None or records[0] == list(columns)
     values, lines = [], []
     for lineno, row in enumerate(records[1:], start=2):
@@ -1061,8 +1096,9 @@ def csv_files(draw):
         # undecodable bytes, a NUL, a field over the csv module's size limit
         fault = draw(st.sampled_from([b"\xff,1", b"1,\xc3", b"\xed\xa0\x80", b"1\x00,2", b"9" * 131_073 + b",1"]))
         lines.insert(draw(st.integers(0, len(lines))), fault)
-    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
-    return columns, newline.join([",".join(columns).encode(), *lines]) + draw(st.sampled_from([newline, b""]))
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    mark = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return columns, mark + newline.join([",".join(columns).encode(), *lines]) + draw(st.sampled_from([newline, b""]))
 
 
 class TestCsvRows:
@@ -1109,6 +1145,63 @@ class TestCsvRows:
         assert data.shape == (n, 2) and lines[-1] == n + 1
         # a float and a line number per row, and the array; no list of the rows' strings
         assert peak < 300 * n, peak / n
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is named by its file, its line and its offset in the file."""
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+    def test_a_csv_byte_past_the_first_decode_chunk(self, identity_model, tmp_path, capsys, mark):
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(mark + b"u,v\n" + b"1,2\n" * 5000 + b"\xff,1\n")
+        offset = 20_004 + len(mark)
+        assert pts.read_bytes()[offset] == 0xFF
+        code, stdout, stderr = run(capsys, "apply", "--model", str(identity_model), "--points", str(pts),
+                                   "--out", str(tmp_path / "out.csv"))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == f"error: {pts}:5002: cannot decode byte 0xff at file offset {offset} as UTF-8: invalid start byte\n"
+
+    def test_a_bad_row_before_the_byte_is_named_first(self, identity_model, tmp_path, capsys):
+        # both lie in one 8 KiB decode chunk of a text-mode reader
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(b"u,v\n" + b"1,2\n" * 4995 + b"1,x\n" + b"1,2\n" * 4 + b"\xff,1\n")
+        code, stdout, stderr = run(capsys, "apply", "--model", str(identity_model), "--points", str(pts),
+                                   "--out", str(tmp_path / "out.csv"))
+        assert (code, stdout, stderr) == (EXIT_VALIDATION, "", f"error: {pts}:4997: non-numeric field in ['1', 'x']\n")
+
+    @pytest.mark.parametrize("where", ["start", "third line"])
+    def test_a_model_document_byte(self, identity_model, tmp_path, capsys, where):
+        text = identity_model.read_bytes()
+        offset = 0 if where == "start" else text.index(b"\n", text.index(b"\n") + 1) + 3
+        model = tmp_path / "bad.json"
+        model.write_bytes(text[:offset] + b"\xc3(" + text[offset:])
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,v\n1,2\n")
+        code, stdout, stderr = run(capsys, "apply", "--model", str(model), "--points", str(pts),
+                                   "--out", str(tmp_path / "out.csv"))
+        line = 1 if where == "start" else 3
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == f"error: {model}:{line}: cannot decode byte 0xc3 at file offset {offset} as UTF-8: invalid continuation byte\n"
+
+
+def test_a_warning_is_one_line_from_any_install(identity_model, tmp_path):
+    # the default warning format starts with the path and line of the call in cli.py, then that source line
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,v\n1,2\n40,6\n")
+    package = Path(cvb.__file__).resolve().parent
+    errs = []
+    for root, shift in ((tmp_path / "a", ""), (tmp_path / "b" / "site", "\n" * 9)):
+        shutil.copytree(package, root / "cvb", ignore=shutil.ignore_patterns("__pycache__"))
+        cli = root / "cvb" / "cli.py"
+        cli.write_text(shift + cli.read_text())  # every line of cli.py moves in the second copy
+        proc = subprocess.run([sys.executable, "-m", "cvb.cli", "apply", "--model", str(identity_model),
+                               "--points", str(pts), "--out", str(root / "out.csv")],
+                              env=dict(os.environ, PYTHONPATH=str(root)), capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, b"2\n"), proc.stderr
+        errs.append(proc.stderr)
+    xmap = load_model(identity_model.read_text()).fwd_x.xmap
+    assert errs[0] == errs[1] == \
+        f"warning: ExtrapolationWarning: evaluation outside the fitted x interval [{xmap.lo}, {xmap.hi}]\n".encode()
 
 
 class TestByteOrderMark:

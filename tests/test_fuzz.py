@@ -299,6 +299,8 @@ def command_lines(draw):
 @example(argv=["fit2d", "--input", PurePath("cloud.csv"), "--max-terms=12", "--extra-sweeps", "3", "--epsilon=inf"])
 @example(argv=["calibrate", "--pairs", PurePath("pairs.csv"), "--out", PurePath("calibrated.json"),
                "--degree-bound", "1", "--inverse-epsilon", "nan"])
+@example(argv=["calibrate", "--pairs", PurePath("pairs.csv"), "--out", PurePath("calibrated.json"),
+               "--inverse-epsilon=--"])
 @example(argv=["warp", "--model", PurePath("model.json"), "--input", PurePath("image.pgm"), "--output",
                PurePath("warped.pgm"), "--window=1e308,1.2e308,0,1", "--width", "4", "--fill", "2,3"])
 @example(argv=["gen", "runge", "--m", "1", "--out", PurePath("gen.csv")])

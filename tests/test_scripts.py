@@ -67,8 +67,8 @@ def test_fault_probe(tmp_path):
     assert lines[0].split() == ["operation", "median_ms", "minor_faults"]
     names = [re.match(r"(\w+)", line).group(1) for line in lines[1:]]
     assert names == ["cvb_interpolate", "cvb_approximate", "term_matrix", "cvb_approximate_2d", "cvb_approximate_2d",
-                     "calibrate", "warp_image", "map_point", "write_image", "read_image", "_write_csv",
-                     "_read_csv", "_write_trace"]
+                     "calibrate", "warp_image", "map_point", "warn_if_extrapolating", "write_image", "read_image",
+                     "_write_csv", "_read_csv", "_write_trace"]
     for line in lines[1:]:
         ms, faults = line.split()[-2:]
         assert float(ms) >= 0.0 and float(faults) >= 0.0
