@@ -144,19 +144,26 @@ def _write_csv(path, columns, rows, formats=None):
     two conversions, such as the surface trace's ``%d:%d`` term, takes two
     table columns.  A float64 table is formatted as it is, with no copy.  The
     first non-finite value in row order is refused before the file is opened.
-    A block of rows is formatted by one ``%`` over a template of that many
-    lines.
     """
     line = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
     rows = np.asarray(rows, dtype=float).reshape(-1, line.count("%"))
+    _refuse_non_finite(rows)
+    block = max(1, _CSV_BLOCK // rows.shape[1])
+    _write_lines(path, columns, line, (rows[start : start + block] for start in range(0, len(rows), block)))
+
+
+def _refuse_non_finite(rows):
+    """Refuse the first non-finite value of the table ``rows`` in row order."""
     finite = np.isfinite(rows).ravel()
     if not finite.all():
-        raise ValueError(f"cannot serialize non-finite value {float(rows.flat[finite.argmin()])!r}")
-    block = max(1, _CSV_BLOCK // rows.shape[1])
+        raise ValueError(f"cannot serialize non-finite value {float(rows.ravel()[finite.argmin()])!r}")
+
+
+def _write_lines(path, columns, line, blocks):
+    """Write the header ``columns``, then each float table of ``blocks`` by one ``%`` over ``line`` repeated."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(rows), block):
-            part = rows[start : start + block]
+        for part in blocks:
             fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
@@ -194,31 +201,43 @@ def cmd_gen(args) -> int:
 
 
 def _write_trace(path, report, n_coeffs=0):
-    """Per-step trace CSV, from one float table; curve traces also carry the coefficients after each step.
+    """Per-step trace CSV, read from the trace's columns; curve traces also carry the coefficients after each step.
 
-    A surface's term takes two integer columns, written ``i:j``.  Approximation
-    steps store only their increment, so their coefficients are the running
-    sum per term: the fit's own additions, in its order.  Summed down the steps
-    from a row of zeros, each step adds its increment to its term and 0.0,
-    which changes no sum, to every other.
+    A surface's term takes two integer columns, written ``i:j``.  A
+    non-finite increment or residual is refused before the file is opened.
+    Rows are built and written one block at a time, so memory is one block,
+    not the table.  Approximation steps store only their increment, so their
+    coefficients are the running sum per term: the fit's own additions, in
+    its order.  Summed down the steps from a row of zeros, each step adds its
+    increment to its term and 0.0, which changes no sum, to every other.
+    Those sums are finite whenever the fit's coefficients are.
     """
     trace, width = report.trace, 1 if n_coeffs else 2  # a surface's term is i, j
     columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"] + [f"a{j}" for j in range(n_coeffs)]
     formats = ["%.17g"] * len(columns)
     formats[1] = "%d" if n_coeffs else "%d:%d"
-    table = np.zeros((len(trace), 4 + width + n_coeffs))
-    table[:, 0] = np.arange(1, len(trace) + 1)
-    table[:, 1 : 1 + width] = np.reshape([e.term for e in trace], (-1, width))
-    stats = [(e.increment, e.max_abs_residual, e.l2_residual) for e in trace]
-    table[:, 1 + width : 4 + width] = np.reshape(stats, (-1, 3))
-    coeffs = table[:, 4 + width :]
-    if trace and trace[0].coeffs is not None:  # interpolation snapshots
-        coeffs[:] = [e.coeffs for e in trace]
-    elif trace and n_coeffs:
-        coeffs[np.arange(len(trace)), table[:, 1].astype(int)] = table[:, 2]  # each increment at its term
-        coeffs[0] += 0.0  # the sum from zeros: 0.0 + -0.0 is 0.0
-        np.add.accumulate(coeffs, axis=0, out=coeffs)
-    _write_csv(path, columns, table, formats)
+    _refuse_non_finite(trace.stats.T)
+    labels = np.reshape(trace.labels, (-1, width))
+
+    def blocks():
+        size = max(1, _CSV_BLOCK // (4 + width + n_coeffs))
+        carry = np.zeros(n_coeffs)  # the sums start from zeros: 0.0 + -0.0 is 0.0
+        for start in range(0, len(trace), size):
+            stop = min(start + size, len(trace))
+            table = np.zeros((stop - start, 4 + width + n_coeffs))
+            table[:, 0] = np.arange(start + 1, stop + 1)
+            table[:, 1 : 1 + width] = labels[trace.term_rows(start, stop)]
+            table[:, 1 + width : 4 + width] = trace.stats[:, start:stop].T
+            coeffs = table[:, 4 + width :]
+            if trace.coeffs is not None:  # interpolation snapshots
+                coeffs[:] = trace.coeffs[start:stop]
+            elif n_coeffs:
+                coeffs[np.arange(stop - start), table[:, 1].astype(int)] = table[:, 2]  # each increment at its term
+                coeffs[0] += carry
+                carry = np.add.accumulate(coeffs, axis=0, out=coeffs)[-1]
+            yield table
+
+    _write_lines(path, columns, ",".join(formats) + "\n", blocks())
 
 
 def cmd_fit1d(args) -> int:

@@ -51,12 +51,12 @@ def orthogonalize(terms) -> OrthoSet:
     if not np.any(tau[0]):
         raise ValueError("first term vector is identically zero")
 
-    ortho = np.zeros_like(tau)
+    # one store: rows [:r] are the retained o_k in order, row r holds the
+    # remainder of the term being projected; rows are put in term order at
+    # the end, where a skipped term's remainder (kept aside) rejoins them
+    ortho = np.empty_like(tau)
     q = np.zeros((n, n))
-    skipped: set[int] = set()
-    # the retained o_k in order, with their squared norms: rows [:r] are live,
-    # and row r holds the remainder of the term being projected
-    stack = np.empty_like(tau)
+    skipped: dict[int, np.ndarray] = {}
     norm2 = np.empty(n)
     live: list[int] = []
 
@@ -64,7 +64,7 @@ def orthogonalize(terms) -> OrthoSet:
         # classical Gram-Schmidt projects tau_j (not the running remainder),
         # so the projection coefficients are one product over the retained o_k
         r = len(live)
-        o_live, w = stack[:r], stack[r]
+        o_live, w = ortho[:r], ortho[r]
         coef = (o_live @ tau[j]) / norm2[:r]
         np.subtract(tau[j], coef @ o_live, out=w)
         tau2, w2 = tau[j] @ tau[j], w @ w
@@ -73,9 +73,8 @@ def orthogonalize(terms) -> OrthoSet:
             coef += extra
             w -= extra @ o_live
             w2 = w @ w
-        ortho[j] = w
         if w2 <= DEGENERATE_REL * tau2:
-            skipped.add(j)
+            skipped[j] = w.copy()
         else:
             norm2[r] = w2
             live.append(j)
@@ -85,6 +84,14 @@ def orthogonalize(terms) -> OrthoSet:
         q[j, :j] = -p @ q[:j, :j]
         q[j, j] = 1.0
 
+    if skipped:  # last term first, so a retained row moves down onto a row already moved
+        r = len(live)
+        for j in range(n - 1, -1, -1):
+            if j in skipped:
+                ortho[j] = skipped[j]
+            else:
+                r -= 1
+                ortho[j] = ortho[r]
     ortho.flags.writeable = False
     q.flags.writeable = False
     return OrthoSet(ortho=ortho, q=q, skipped=frozenset(skipped))

@@ -262,6 +262,38 @@ class TestFit1D:
         # the table, a block of formatted rows, and no copy of the table
         assert peak < 2 * table + 512 * 1024, (peak, table)
 
+    def test_the_trace_is_written_one_block_at_a_time(self, tmp_path):
+        # rows are built from the trace's columns per block, so memory does not grow with the trace
+        from cvb.cli import _write_trace
+        from cvb.synthetic import runge
+
+        peaks = []
+        for m in (60, 120):
+            x = cvb.cheb_zeros(m)
+            model, report = cvb.cvb_approximate(cvb.SampleSet1D(x=x, y=runge(x)), cvb.FitConfig(0.0, m))
+            tracemalloc.start()
+            try:
+                _write_trace(tmp_path / "trace.csv", report, model.n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        table = len(report.trace) * (m + 5) * 8  # 7.3 MB
+        assert max(peaks) < 1024 * 1024 < table and peaks[1] < peaks[0] + 64 * 1024, (peaks, table)
+
+    @pytest.mark.parametrize("column, value", [(0, math.inf), (1, math.nan), (2, -math.inf)])
+    def test_a_non_finite_trace_column_is_refused_before_the_file_is_created(self, tmp_path, column, value):
+        from cvb.cli import _write_trace
+        from cvb.fit1d import FitReport, Trace
+
+        _, report = cvb.cvb_approximate(cvb.SampleSet1D(x=cvb.cheb_zeros(9), y=np.arange(9.0)), cvb.FitConfig(0.0, 3))
+        stats = report.trace.stats.copy()
+        stats[column, 2:] = value  # the first bad row's first bad cell is named
+        trace = Trace(stats, report.trace.plan, report.trace.labels)
+        out = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=f"^cannot serialize non-finite value {value!r}$"):
+            _write_trace(out, FitReport(**{**vars(report), "trace": trace}), 3)
+        assert not out.exists()
+
     def test_strict_non_convergence_exits_three(self, quad_csv, capsys):
         code, _, stderr = run(capsys, "fit1d", "--input", str(quad_csv), "--algorithm", "approx",
                               "--epsilon", "1e-15", "--max-terms", "2", "--strict")

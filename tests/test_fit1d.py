@@ -1,8 +1,10 @@
 """Univariate fitting: exact interpolation, shape-first approximation, traces."""
 
 import math
+import pickle
 import re
 import tracemalloc
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from cvb.fit1d import (
     ChebModel1D,
     FitConfig,
     FitError,
+    FitReport,
+    Trace,
     TraceStep,
     _l2,
     _statistics,
@@ -806,17 +810,18 @@ class TestBlockStatistics:
     def test_each_row_keeps_the_bits_of_a_one_row_measure(self, case, data_max):
         block, count = case[0].copy(), case[1]
         rows = block[1:count + 1].copy()
-        maxes, l2s = [0.5], [0.25]  # earlier blocks' statistics stay in front
+        out = np.array([[0.5] * (count + 2), [0.25] * (count + 2)])  # the columns either side stay as they are
         with np.errstate(over="ignore", invalid="ignore"):
             expect_max = [float(np.abs(r).max()) for r in rows]
             expect_l2 = [_l2(r, max_abs) for r, max_abs in zip(rows, expect_max)]
             if all(math.isfinite(l2) for l2 in expect_l2):
-                _statistics(block, count, data_max, maxes, l2s)
-                assert bits(maxes) == bits([0.5, *expect_max]) and bits(l2s) == bits([0.25, *expect_l2])
+                _statistics(block, count, data_max, out[:, 1:-1])
+                assert bits(out[0]) == bits([0.5, *expect_max, 0.5])
+                assert bits(out[1]) == bits([0.25, *expect_l2, 0.25])
                 assert bits(block[0]) == bits(rows[-1])  # the current residual, signed, for the next step
             else:
                 with pytest.raises(FitError, match=f"^{re.escape(FLOAT_RANGE_MESSAGE.format(data_max))}$"):
-                    _statistics(block, count, data_max, maxes, l2s)
+                    _statistics(block, count, data_max, out[:, 1:-1])
 
 
 class TestSweepCount:
@@ -864,3 +869,168 @@ def test_interpolation_names_the_first_retained_component_that_is_not_finite(mon
     monkeypatch.setattr(fit1d, "orthogonalize", poisoned)
     with pytest.raises(FitError, match="^orthogonal component of term 5 is not finite$"):
         cvb_interpolate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=9))
+
+
+def literal_sweep(tau, gamma, plan, epsilon, labels, sweeps):
+    """The approximation's sweep as it was first written: a loop that builds one TraceStep per step.
+
+    ``plan`` lists (row, kind) pairs, taken ``sweeps`` times over, stopping
+    before a visit once max|delta| <= epsilon.  Each step projects as
+    ``OracleProjector`` does, adds its increment to a Python float and
+    appends its TraceStep; the columnar trace must give these bits.
+    """
+    norm2 = np.einsum("ij,ij->i", tau, tau).tolist()
+    delta = np.array(gamma, dtype=float)
+    a, trace = [0.0] * len(tau), []
+    max_abs = float(np.abs(delta).max())
+    for t, kind in chain.from_iterable(repeat(plan, sweeps if plan else 0)):
+        if kind == "visit" and max_abs <= epsilon:
+            break
+        inc = float(tau[t].dot(delta) / norm2[t])
+        delta -= inc * tau[t]
+        max_abs = float(np.abs(delta).max())
+        a[t] += inc
+        trace.append(TraceStep(labels[t], kind, inc, max_abs, _l2(delta, max_abs), None))
+    return np.array(a), tuple(trace), max_abs <= epsilon
+
+
+def literal_plan(tau, m, earlier):
+    """Each retained row's visit, then its revisits ``earlier(row)`` less the skipped rows."""
+    skipped = {t for t, row in enumerate(tau) if row @ row <= DEGENERATE_TERM_REL * m}
+    return [pair for t in range(len(tau)) if t not in skipped
+            for pair in ((t, "visit"), *((k, "revisit") for k in earlier(t) if k not in skipped))], skipped
+
+
+@st.composite
+def fits(draw):
+    """A curve or surface approximation: data, config, and whether it skips, stops early or sweeps again."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, surface = draw(st.integers(1, 60)), draw(st.integers(1, 9)), draw(st.booleans())
+    x = rng.uniform(-1.0, 1.0, m)
+    # a constant coordinate leaves every odd term 0, so those terms are skipped
+    y = np.zeros(m) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, m)
+    if surface:
+        samples = SampleSet2D(x=x, y=y, z=np.sin(3 * x) * np.cos(2 * y) + 0.01 * rng.standard_normal(m))
+    else:
+        x = np.unique(np.round(x, 2)) if draw(st.booleans()) else np.zeros(1)
+        samples = SampleSet1D(x=x, y=np.sin(3 * x) + 0.01 * rng.standard_normal(x.size))
+    data = samples.z if surface else samples.y
+    epsilon = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5])) * float(np.abs(data).max())
+    return samples, FitConfig(epsilon=epsilon, max_terms=n, extra_sweeps=draw(st.integers(0, 3)))
+
+
+class TestColumnarTrace:
+    """The columnar trace keeps the bits of a loop that built one TraceStep per step."""
+
+    # the fixed cases of TestEngineBits.test_cases_cover_early_stops_skips_and_extra_sweeps
+    @settings(max_examples=150, deadline=None)
+    @given(case=fits())
+    @example(case=(cloud(4), FitConfig(epsilon=0.1, max_terms=8)))
+    @example(case=(noisy_runge(4), FitConfig(epsilon=0.05, max_terms=25)))
+    @example(case=(cloud(5, flat_y=True), FitConfig(epsilon=0.0, max_terms=5, extra_sweeps=2)))
+    @example(case=(SampleSet1D(x=[0.0], y=[3.0]), FitConfig(epsilon=0.0, max_terms=3, extra_sweeps=2)))
+    def test_trace_and_coefficients_match_the_per_step_loop(self, case):
+        samples, config = case
+        if isinstance(samples, SampleSet2D):
+            model, report = cvb_approximate_2d(samples, config)
+            labels = visit_order(config.max_terms)
+            tau, gamma, coeffs = term_matrix(samples, labels), samples.z, [model.coeffs.get(t, 0.0) for t in labels]
+            pos = {t: p for p, t in enumerate(labels)}
+            earlier = lambda p: [pos[t] for t in revisit_set(labels[p], labels)]
+        else:
+            model, report = cvb_approximate(samples, config)
+            tau, gamma, coeffs = cheb_columns(samples.x, config.max_terms).T, samples.y, model.coeffs
+            labels, earlier = range(config.max_terms), lambda j: range(j - 1, -1, -1)
+        plan, skipped = literal_plan(tau, samples.m, earlier)
+        a, trace, converged = literal_sweep(tau, gamma, plan, config.epsilon, labels, config.extra_sweeps + 1)
+        assert isinstance(report.trace, Trace)
+        assert trace_bits(report.trace) == trace_bits(trace)
+        assert bits(coeffs) == bits(a)
+        assert report.converged == converged and list(report.skipped) == [labels[t] for t in sorted(skipped)]
+        if trace:
+            assert bits((report.max_abs_residual, report.l2_residual)) == bits(trace[-1][3:5])
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_approximation_peaks_under_64_bytes_a_step_beyond_the_term_matrix(self, n):
+        # three float64 columns a step and the plan's two index arrays, nothing per step besides
+        x = cheb_zeros(n)
+        samples = SampleSet1D(x=x, y=runge(x))
+        tracemalloc.start()
+        try:
+            model, report = cvb_approximate(samples, FitConfig(epsilon=0.0, max_terms=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = len(report.trace)
+        assert steps == n * (n + 1) // 2
+        assert (peak - n * n * 8) / steps < 64, (n, peak, steps)
+
+
+def fit_reports():
+    """A curve interpolation, a curve approximation over two sweeps and a surface approximation."""
+    return [cvb_interpolate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=9))[1],
+            cvb_approximate(RUNGE_15, FitConfig(epsilon=0.0, max_terms=6, extra_sweeps=1))[1],
+            cvb_approximate_2d(cloud(2, m=40), FitConfig(epsilon=0.0, max_terms=4))[1]]
+
+
+class TestTraceSequence:
+    """A trace reads like the tuple of its steps."""
+
+    @pytest.mark.parametrize("report", fit_reports(), ids=["interp", "approx", "surface"])
+    def test_indices_slices_and_sequence_methods(self, report):
+        trace, steps = report.trace, tuple(report.trace)
+        n = len(steps)
+        assert len(trace) == n > 1 and bool(trace) and all(isinstance(step, TraceStep) for step in steps)
+        assert [trace[i] for i in range(-n, n)] == [steps[i] for i in range(-n, n)]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                trace[index]
+        for cut in (slice(None), slice(1, -1), slice(None, None, -2), slice(-3, None), slice(5, 2), slice(2, 99, 3)):
+            assert trace[cut] == steps[cut] and isinstance(trace[cut], tuple)
+        assert list(iter(trace)) == list(steps) and list(reversed(trace)) == list(reversed(steps))
+        assert trace.index(steps[-1]) == steps.index(steps[-1]) and trace.index(steps[1], 1, 3) == 1
+        with pytest.raises(ValueError):
+            trace.index(steps[0], 1)
+        assert trace.count(steps[0]) == steps.count(steps[0]) == 1 and trace.count(None) == 0
+        assert steps[-1] in trace and TraceStep(-1, "visit", 0.0, 0.0, 0.0) not in trace
+
+    @pytest.mark.parametrize("report", fit_reports(), ids=["interp", "approx", "surface"])
+    def test_equality_and_hash_follow_the_tuple(self, report):
+        trace, steps = report.trace, tuple(report.trace)
+        assert trace == steps and steps == trace and trace == list(steps) and list(steps) == trace
+        assert not trace != steps and trace != steps[:-1] and trace != list(steps[1:]) and trace != ()
+        assert trace != "trace" and trace != steps[0] and hash(trace) == hash(steps)
+        assert {trace: 1}[steps] == 1
+
+    @pytest.mark.parametrize("report", fit_reports(), ids=["interp", "approx", "surface"])
+    def test_pickle_round_trip_keeps_a_read_only_trace(self, report):
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and type(copy.trace) is Trace and copy.trace == report.trace
+        assert trace_bits(copy.trace) == trace_bits(report.trace)
+        assert not copy.trace.stats.flags.writeable
+
+    def test_steps_and_columns_cannot_be_assigned(self):
+        trace = fit_reports()[0].trace
+        with pytest.raises(TypeError):
+            trace[0] = trace[1]
+        with pytest.raises(TypeError):
+            del trace[0]
+        with pytest.raises(AttributeError):
+            trace.stats = None
+        for array in (trace.stats, *trace.plan, trace.coeffs):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("report", fit_reports(), ids=["interp", "approx", "surface"])
+    def test_fit_report_equality_and_hash_are_those_of_its_tuple_trace(self, report):
+        as_tuple = FitReport(**{**vars(report), "trace": tuple(report.trace)})
+        assert report == as_tuple and as_tuple == report and hash(report) == hash(as_tuple)
+        other = FitReport(**{**vars(report), "trace": tuple(report.trace)[:-1]})
+        assert report != other
+
+    def test_empty_traces_equal_the_empty_tuple(self):
+        _, report = cvb_approximate(RUNGE_15, FitConfig(epsilon=10.0, max_terms=3, extra_sweeps=5))
+        assert report.trace == () == tuple(report.trace) and report.trace == [] and not report.trace
+        assert len(report.trace) == 0 and hash(report.trace) == hash(()) and report.trace[:] == ()
+        with pytest.raises(IndexError):
+            report.trace[-1]

@@ -120,7 +120,9 @@ class TestSweepPlan:
         def record(*args, **kwargs):
             call = inspect.signature(sweep).bind(*args, **kwargs)
             call.apply_defaults()
-            plans.append(call.arguments["plan"] * call.arguments["sweeps"])  # one pass, swept ``sweeps`` times
+            term, visit = call.arguments["plan"]  # one pass, swept ``sweeps`` times
+            pairs = [(t, "visit" if t == v else "revisit") for t, v in zip(term.tolist(), visit.tolist())]
+            plans.append(pairs * call.arguments["sweeps"])
             # only the plan is under test: at epsilon 0 a zero target stops before the first visit
             call.arguments["gamma"] = np.zeros_like(call.arguments["gamma"])
             return sweep(*call.args, **call.kwargs)

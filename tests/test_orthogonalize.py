@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvb.basis import cheb_columns, cheb_zeros
 from cvb.orthogonalize import orthogonalize
@@ -237,7 +238,8 @@ def gathered_gram_schmidt(tau):
     """Literal copy of the block Gram-Schmidt that gathered the live o_k for every row.
 
     It copies ``ortho[live]`` and ``norm2[live]`` through a fancy index each
-    time; ``orthogonalize`` reads them from its stack and must give its bits.
+    time; ``orthogonalize`` reads them from the front of its one store and
+    must give its bits.
     Also returns how many rows took the second pass.
     """
     n = tau.shape[0]
@@ -293,6 +295,14 @@ class TestMatchesGatheredLoop:
 
     def test_chebyshev_zero_nodes_at_benchmark_size(self):
         self.assert_same_bits(cheb_columns(cheb_zeros(1000), 60).T)
+
+    # one store holds the live o_k and the remainder; skipped rows rejoin it in term order at the end
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 24),
+           width=st.sampled_from([2.0, 0.5, 0.05]), decimals=st.sampled_from([None, 2, 1]))
+    def test_crowded_and_repeated_nodes(self, seed, m, n, width, decimals):
+        x = -1.0 + width * np.random.default_rng(seed).uniform(0.0, 1.0, m)
+        self.assert_same_bits(cheb_columns(x if decimals is None else np.round(x, decimals), n).T)
 
 
 class TestMatchesPerKLoop:
