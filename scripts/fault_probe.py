@@ -11,9 +11,10 @@ at 1,000 Chebyshev zeros fitted with 60 terms, a 2,000-point cloud with
 degree bound 12, a 16x12 calibration grid, a 640x480 warp,
 100,000 mapped points and their extrapolation check, and the CLI's text
 files: the 640x480 RGB plain PPM that ``cvb warp`` reads, the 5,000-row CSV
-that ``cvb apply`` writes and ``cvb eval`` reads, and the 1,830-step trace
-of the curve approximation that ``cvb fit1d --trace`` writes), or much
-smaller with ``--size tiny`` (the raster keeps the camera's size).
+that ``cvb apply`` writes and ``cvb eval`` reads, and the traces that
+``cvb fit1d --trace`` and ``cvb fit2d --trace`` write of the curve
+approximation (1,830 steps), the interpolation and the full surface fit), or
+much smaller with ``--size tiny`` (the raster keeps the camera's size).
 
     python3 scripts/fault_probe.py [--size tiny] [--repeats 11] [--seed 1]
 """
@@ -109,6 +110,8 @@ def main():
     scratch = Path(tempfile.mkdtemp())
     plain, csv_path, trace_path = scratch / "plain.ppm", scratch / "mapped.csv", scratch / "trace.csv"
     curve_model, curve_report = cvb_approximate(curve, curve_config)
+    interp_model, interp_report = cvb_interpolate(curve, curve_config)
+    _, surface_report = cvb_approximate_2d(samples, full)
     write_image(plain, image, plain=True)
     operations = (
         (f"cvb_interpolate (n={curve_config.max_terms}, m={curve.m})", lambda: cvb_interpolate(curve, curve_config)),
@@ -126,6 +129,9 @@ def main():
         (f"_read_csv ({rows} rows u,v,X,Y)", lambda: _read_csv(csv_path, ("u", "v", "X", "Y"))),
         (f"_write_trace ({len(curve_report.trace)} steps)",
          lambda: _write_trace(trace_path, curve_report, curve_model.n)),
+        (f"_write_trace interp ({len(interp_report.trace)} steps)",
+         lambda: _write_trace(trace_path, interp_report, interp_model.n)),
+        (f"_write_trace surface ({len(surface_report.trace)} steps)", lambda: _write_trace(trace_path, surface_report)),
     )
     print(f"{'operation':40s} {'median_ms':>10s} {'minor_faults':>12s}")
     try:

@@ -136,20 +136,23 @@ def _read_csv(path, columns):
 _CSV_BLOCK = 8192
 
 
-def _write_csv(path, columns, rows, formats=None):
+def _write_csv(path, columns, rows):
     """A CSV file: the header ``columns``, then one line per row of the float table ``rows``.
 
-    ``formats`` holds one printf format per header column, ``%.17g`` (17
-    significant digits, as ``_fmt`` writes a real) by default; a format with
-    two conversions, such as the surface trace's ``%d:%d`` term, takes two
-    table columns.  A float64 table is formatted as it is, with no copy.  The
+    Every value is written ``%.17g`` (17 significant digits, as ``_fmt``
+    writes a real), a block of rows at a time by one ``%`` over a repeated
+    row template.  A float64 table is formatted as it is, with no copy.  The
     first non-finite value in row order is refused before the file is opened.
     """
-    line = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
-    rows = np.asarray(rows, dtype=float).reshape(-1, line.count("%"))
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(columns))
     _refuse_non_finite(rows)
-    block = max(1, _CSV_BLOCK // rows.shape[1])
-    _write_lines(path, columns, line, (rows[start : start + block] for start in range(0, len(rows), block)))
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    block = max(1, _CSV_BLOCK // len(columns))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(rows), block):
+            part = rows[start : start + block]
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
 def _refuse_non_finite(rows):
@@ -157,14 +160,6 @@ def _refuse_non_finite(rows):
     finite = np.isfinite(rows).ravel()
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite value {float(rows.ravel()[finite.argmin()])!r}")
-
-
-def _write_lines(path, columns, line, blocks):
-    """Write the header ``columns``, then each float table of ``blocks`` by one ``%`` over ``line`` repeated."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for part in blocks:
-            fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
 def _load_samples_1d(path):
@@ -201,43 +196,37 @@ def cmd_gen(args) -> int:
 
 
 def _write_trace(path, report, n_coeffs=0):
-    """Per-step trace CSV, read from the trace's columns; curve traces also carry the coefficients after each step.
+    """Per-step trace CSV; curve traces also carry the n_coeffs coefficients after each step.
 
-    A surface's term takes two integer columns, written ``i:j``.  A
-    non-finite increment or residual is refused before the file is opened.
-    Rows are built and written one block at a time, so memory is one block,
-    not the table.  Approximation steps store only their increment, so their
-    coefficients are the running sum per term: the fit's own additions, in
-    its order.  Summed down the steps from a row of zeros, each step adds its
-    increment to its term and 0.0, which changes no sum, to every other.
-    Those sums are finite whenever the fit's coefficients are.
+    A non-finite increment or residual is refused before the file is opened.
+    The trace is read one block of steps at a time; each row is formatted as
+    its step is read, and the block's rows are written together, so memory is
+    one block, not the trace's table.  A surface's term is written ``i:j``.
+    An interpolation step carries its coefficients.  An approximation step
+    adds its increment to its own term only, so its row is the row before
+    with that one coefficient re-summed and re-formatted: the fit's own
+    additions, in its order, from 0.0 (0.0 + -0.0 is 0.0).
     """
-    trace, width = report.trace, 1 if n_coeffs else 2  # a surface's term is i, j
-    columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"] + [f"a{j}" for j in range(n_coeffs)]
-    formats = ["%.17g"] * len(columns)
-    formats[1] = "%d" if n_coeffs else "%d:%d"
+    trace = report.trace
     _refuse_non_finite(trace.stats.T)
-    labels = np.reshape(trace.labels, (-1, width))
-
-    def blocks():
-        size = max(1, _CSV_BLOCK // (4 + width + n_coeffs))
-        carry = np.zeros(n_coeffs)  # the sums start from zeros: 0.0 + -0.0 is 0.0
+    columns = ["step", "term", "increment", "max_abs_residual", "l2_residual"] + [f"a{j}" for j in range(n_coeffs)]
+    term_format = "%d" if n_coeffs else "%d:%d"
+    snapshot = ",%.17g" * n_coeffs  # an interpolation step's coefficients
+    sums, cells, tail = [0.0] * n_coeffs, [",0"] * n_coeffs, ""
+    size = max(1, _CSV_BLOCK // (5 + n_coeffs))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
         for start in range(0, len(trace), size):
-            stop = min(start + size, len(trace))
-            table = np.zeros((stop - start, 4 + width + n_coeffs))
-            table[:, 0] = np.arange(start + 1, stop + 1)
-            table[:, 1 : 1 + width] = labels[trace.term_rows(start, stop)]
-            table[:, 1 + width : 4 + width] = trace.stats[:, start:stop].T
-            coeffs = table[:, 4 + width :]
-            if trace.coeffs is not None:  # interpolation snapshots
-                coeffs[:] = trace.coeffs[start:stop]
-            elif n_coeffs:
-                coeffs[np.arange(stop - start), table[:, 1].astype(int)] = table[:, 2]  # each increment at its term
-                coeffs[0] += carry
-                carry = np.add.accumulate(coeffs, axis=0, out=coeffs)[-1]
-            yield table
-
-    _write_lines(path, columns, ",".join(formats) + "\n", blocks())
+            lines = []
+            for step, (term, _, inc, max_abs, l2, coeffs) in enumerate(trace[start : start + size], start + 1):
+                if coeffs is not None:
+                    tail = snapshot % coeffs
+                elif n_coeffs:
+                    sums[term] += inc
+                    cells[term] = ",%.17g" % sums[term]
+                    tail = "".join(cells)
+                lines.append("%d,%s,%.17g,%.17g,%.17g%s\n" % (step, term_format % term, inc, max_abs, l2, tail))
+            fh.write("".join(lines))
 
 
 def cmd_fit1d(args) -> int:

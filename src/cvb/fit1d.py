@@ -110,11 +110,6 @@ class Trace(Sequence):
     def __len__(self):
         return self.stats.shape[1]
 
-    def term_rows(self, start, stop):
-        """The term-matrix row each of steps start..stop - 1 updates."""
-        term = self.plan[0]
-        return term[np.arange(start, stop) % max(term.size, 1)]
-
     def _build(self, steps):
         """The TraceSteps of the step numbers in the range ``steps``."""
         index = np.arange(steps.start, steps.stop, steps.step)

@@ -259,11 +259,11 @@ class TestFit1D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the table, a block of formatted rows, and no copy of the table
+        # one block of steps and one formatted row: no float table, let alone a copy of one
         assert peak < 2 * table + 512 * 1024, (peak, table)
 
     def test_the_trace_is_written_one_block_at_a_time(self, tmp_path):
-        # rows are built from the trace's columns per block, so memory does not grow with the trace
+        # steps are read one block at a time and each row is written as it is read, so memory does not grow
         from cvb.cli import _write_trace
         from cvb.synthetic import runge
 
@@ -305,6 +305,79 @@ class TestFit1D:
                               "--epsilon", "1e-15", "--max-terms", "2")
         assert code == EXIT_OK
         assert "converged=false" in stderr
+
+
+def trace_oracle(report, n_coeffs):
+    """Oracle: the trace CSV rendered literally, one step of ``tuple(report.trace)`` at a time.
+
+    An approximation's coefficients are the running per-term sums of its
+    increments from 0.0, an interpolation step's are its ``coeffs``, and a
+    surface's term (``n_coeffs`` 0) is written ``i:j``.
+    """
+    header = ["step", "term", "increment", "max_abs_residual", "l2_residual"] + [f"a{j}" for j in range(n_coeffs)]
+    lines, a = [",".join(header)], [0.0] * n_coeffs
+    for k, step in enumerate(tuple(report.trace), start=1):
+        if step.coeffs is not None:
+            a = list(step.coeffs)
+        elif n_coeffs:
+            a[step.term] += step.increment
+        term = str(step.term) if n_coeffs else f"{step.term.i}:{step.term.j}"
+        reals = (step.increment, step.max_abs_residual, step.l2_residual, *a)
+        lines.append(",".join([str(k), term, *(format(v, ".17g") for v in reals)]))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@st.composite
+def traced_fits(draw):
+    """(kind, samples, config) of a fit whose trace is written.
+
+    Curve and surface approximations may skip terms, stop at epsilon and
+    sweep again; interpolations may skip terms on crowded nodes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind, m = draw(st.sampled_from(["approx", "interp", "surface"])), draw(st.integers(1, 40))
+    if kind == "surface":
+        x = rng.uniform(-1.0, 1.0, m)
+        y = np.zeros(m) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, m)  # a flat y skips every odd j
+        samples = cvb.SampleSet2D(x=x, y=y, z=np.sin(3 * x) * np.cos(2 * y) + 0.01 * rng.standard_normal(m))
+        n = draw(st.integers(1, 8))
+    else:
+        if kind == "interp":  # nodes crowded into a short interval: orthogonalize skips terms
+            x = -1.0 + draw(st.sampled_from([2.0, 0.2, 0.05])) * np.linspace(0.0, 1.0, m)
+            n = draw(st.integers(1, m))
+        else:  # T_m vanishes at the m Chebyshev zeros, so n > m skips it
+            x = cvb.cheb_zeros(m)
+            n = draw(st.one_of(st.integers(1, m), st.integers(m + 1, m + 2)))
+        samples = cvb.SampleSet1D(x=x, y=np.sin(3 * x) + 0.01 * rng.standard_normal(m))
+    data = samples.z if kind == "surface" else samples.y
+    epsilon = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5])) * float(np.abs(data).max())
+    sweeps = 0 if kind == "interp" else draw(st.integers(0, 3))
+    return kind, samples, cvb.FitConfig(epsilon=epsilon, max_terms=n, extra_sweeps=sweeps)
+
+
+CROWDED = cvb.SampleSet1D(x=np.linspace(-1.0, -0.8, 12), y=np.sin(5 * np.linspace(-1.0, -0.8, 12)))
+FLAT_Y = cvb.SampleSet2D(x=np.linspace(-1.0, 1.0, 30), y=np.zeros(30), z=np.cos(3 * np.linspace(-1.0, 1.0, 30)))
+
+
+class TestTraceBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(case=traced_fits())
+    @example(case=("approx", cvb.SampleSet1D(x=[0.0], y=[3.0]), cvb.FitConfig(0.0, 3, 2)))  # skips term 1
+    @example(case=("approx", cvb.SampleSet1D(x=cvb.cheb_zeros(40), y=np.arange(40.0) % 3), cvb.FitConfig(0.0, 40, 1)))
+    @example(case=("approx", cvb.SampleSet1D(x=cvb.cheb_zeros(40), y=np.arange(40.0) % 3), cvb.FitConfig(0.5, 40)))
+    @example(case=("interp", CROWDED, cvb.FitConfig(0.0, 12)))  # skips three terms
+    @example(case=("surface", FLAT_Y, cvb.FitConfig(0.0, 5, 2)))  # skips every odd j
+    @example(case=("surface", FLAT_Y, cvb.FitConfig(0.1, 8)))
+    def test_the_trace_csv_is_each_step_rendered_in_turn(self, tmp_path_factory, case):
+        from cvb.cli import _write_trace
+
+        kind, samples, config = case
+        fit = {"approx": cvb.cvb_approximate, "interp": cvb.cvb_interpolate, "surface": cvb.cvb_approximate_2d}[kind]
+        model, report = fit(samples, config)
+        n_coeffs = 0 if kind == "surface" else model.n
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        _write_trace(path, report, n_coeffs)
+        assert path.read_bytes() == trace_oracle(report, n_coeffs)
 
 
 class TestFit2D:
@@ -860,70 +933,44 @@ EDGE_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 2.0
 BIT_FLOATS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
 
 
-def csv_oracle(columns, rows, labels=None):
+def csv_oracle(columns, rows):
     """Oracle: the CSV text with each real formatted on its own by format(v, ".17g")."""
-    lines = [",".join(columns)]
-    for r, row in enumerate(rows):
-        cells = [format(v, ".17g") for v in row]
-        if labels is not None:
-            cells.insert(labels[0], labels[1][r])
-        lines.append(",".join(cells))
+    lines = [",".join(columns)] + [",".join(format(v, ".17g") for v in row) for row in rows]
     return "".join(line + "\n" for line in lines).encode()
 
 
 @st.composite
 def csv_tables(draw):
-    """(columns, rows, labels) of a CSV table; labels, when drawn, are ``i:j`` cells at some column."""
+    """(columns, rows) of a CSV table of reals."""
     width = draw(st.integers(1, 5))
     cell = st.one_of(st.sampled_from(EDGE_FLOATS + [-v for v in EDGE_FLOATS]), BIT_FLOATS)
     rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=30))
-    labels = None
-    if draw(st.booleans()):
-        pairs = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=len(rows), max_size=len(rows)))
-        labels = (draw(st.integers(0, width)), [f"{i}:{j}" for i, j in pairs])
-    return [f"c{k}" for k in range(width + (labels is not None))], rows, labels
-
-
-def written_table(columns, rows, labels):
-    """``_write_csv``'s table and formats for ``rows`` whose column k holds ``labels``' i:j cells.
-
-    The pair goes in as two integer columns at k, written by the format ``%d:%d``.
-    """
-    formats = ["%.17g"] * len(columns)
-    if labels is None:
-        return rows, formats
-    k, cells = labels
-    formats[k] = "%d:%d"
-    pairs = [[int(n) for n in cell.split(":")] for cell in cells]
-    return [row[:k] + pair + row[k:] for row, pair in zip(rows, pairs)], formats
+    return [f"c{k}" for k in range(width)], rows
 
 
 class TestCsvCells:
     @settings(max_examples=150, deadline=None)
     @given(table=csv_tables())
-    @example(table=(["a", "b"], [[-0.0, 5e-324], [-5e-324, 1.7976931348623157e308]], None))
-    @example(table=(["step", "term", "x"], [[1.0, -0.0], [2.0, 0.1]], (1, ["0:0", "1:0"])))
-    @example(table=(["a"], [], None))
+    @example(table=(["a", "b"], [[-0.0, 5e-324], [-5e-324, 1.7976931348623157e308]]))
+    @example(table=(["a"], []))
     def test_written_bytes_equal_a_per_cell_format(self, tmp_path_factory, table):
         from cvb.cli import _write_csv
 
-        columns, rows, labels = table
+        columns, rows = table
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
-        _write_csv(path, columns, *written_table(columns, rows, labels))
-        assert path.read_bytes() == csv_oracle(columns, rows, labels)
+        _write_csv(path, columns, rows)
+        assert path.read_bytes() == csv_oracle(columns, rows)
 
-    @pytest.mark.parametrize("labels", [False, True])
-    def test_a_table_of_many_blocks_equals_a_per_cell_format(self, tmp_path, labels):
+    def test_a_table_of_many_blocks_equals_a_per_cell_format(self, tmp_path):
         from cvb.cli import _CSV_BLOCK, _write_csv
 
         bits = np.random.default_rng(6).integers(0, 2**64, size=(_CSV_BLOCK // 2 + 7, 5), dtype=np.uint64)
         rows = bits.view(np.float64)
         rows = np.where(np.isfinite(rows), rows, -0.0).tolist()
-        cells = (1, [f"{k}:{k % 7}" for k in range(len(rows))]) if labels else None
-        columns = [f"c{k}" for k in range(5 + labels)]
+        columns = [f"c{k}" for k in range(5)]
         path = tmp_path / "rows.csv"
-        _write_csv(path, columns, *written_table(columns, rows, cells))
-        assert path.read_bytes() == csv_oracle(columns, rows, cells)
+        _write_csv(path, columns, rows)
+        assert path.read_bytes() == csv_oracle(columns, rows)
 
     @pytest.mark.parametrize("body, message", [
         (b"1,2\n3,4,5\n6,x\n", "3: expected 2 fields, got 3"),
