@@ -69,8 +69,9 @@ def read_image(path) -> np.ndarray:
         if stray:
             raise ValueError(f"plain raster holds {stray[:1]!r}; only digits and whitespace are allowed")
         # digits-only tokens parse exactly (a too-long one saturates and fails
-        # the range check); a blank body would read as one bogus value
-        flat = np.fromstring(body, dtype=np.int64, sep=" ") if body.strip() else np.empty(0, np.int64)
+        # the range check); a blank body would read as one bogus value, and
+        # isspace() tests for one without copying the body
+        flat = np.fromstring(body, dtype=np.int64, sep=" ") if body and not body.isspace() else np.empty(0, np.int64)
         if flat.size != count:
             raise ValueError(f"expected {count} pixel values, found {flat.size}")
     else:

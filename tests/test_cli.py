@@ -1,9 +1,12 @@
 """Command-line interface: formats, exit codes, round trips."""
 
 import argparse
+import ast
 import csv
+import gc
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -1612,3 +1615,95 @@ class TestOutOfMemory:
         assert stderr.startswith("error: not enough memory for this calibrate request (Unable to allocate ")
         assert "Traceback" not in stderr
         assert not model.exists()
+
+
+# `python -m cvb.cli` as runpy starts it, after an atexit hook that writes the
+# collector's frozen-object count to the path given as the first argument
+EXIT_BOOTSTRAP = """
+import atexit, gc, runpy, sys
+
+def record(path=sys.argv.pop(1)):
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+atexit.register(record)
+runpy.run_module("cvb.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessExit:
+    """A `cvb` process freezes the collector before it exits; ``main`` called in-process does not.
+
+    Every command of the pipeline, and one refusal, must write the same exit
+    code, stdout, stderr and files as ``main`` with the same argv.
+    """
+
+    COMMANDS = (
+        ("gen", "correspondences", "--out", "pairs.csv"),
+        ("calibrate", "--pairs", "pairs.csv", "--epsilon", "0.5", "--inverse-epsilon", "0.25",
+         "--degree-bound", "8", "--out", "model.json"),
+        ("apply", "--model", "model.json", "--points", "points.csv", "--out", "mapped.csv"),
+        ("warp", "--model", "model.json", "--input", "in.ppm", "--output", "out.ppm",
+         "--window=-448,448,-336,336", "--width", "24", "--height", "18"),
+        ("eval", "--model", "model.json", "--truth", "truth.csv"),
+        ("apply", "--model", "model.json", "--points", "bad.csv", "--out", "refused.csv"),
+    )
+
+    @staticmethod
+    def write_inputs(directory):
+        from cvb.synthetic import DistortionParams, distort
+
+        params = DistortionParams()
+        width, height = params.image_size
+        rng = np.random.default_rng(5)
+        # points over the whole frame, so apply warns beyond the calibrated grid
+        points = np.column_stack([rng.uniform(0.0, width, 30), rng.uniform(0.0, height, 30)])
+        world = rng.uniform(-200.0, 200.0, (20, 2))
+        truth = np.column_stack([*distort(params, world[:, 0], world[:, 1]), world])
+        (directory / "points.csv").write_text("u,v\n" + "".join("%.17g,%.17g\n" % tuple(p) for p in points))
+        (directory / "truth.csv").write_text("u,v,X,Y\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % tuple(t)
+                                                                   for t in truth))
+        (directory / "bad.csv").write_text("u,v\n1,2\n3,x\n")
+        write_image(directory / "in.ppm", rng.integers(0, 256, (12, 16, 3), dtype=np.uint8), plain=True)
+
+    @staticmethod
+    def files(directory):
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_a_command_process_writes_what_main_writes_and_exits_frozen(self, tmp_path, capsys, monkeypatch):
+        child, here = tmp_path / "child", tmp_path / "here"
+        for directory in (child, here):
+            directory.mkdir()
+            self.write_inputs(directory)
+        src = str(Path(cvb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        count = tmp_path / "freeze_count"
+        monkeypatch.chdir(here)
+        results = []
+        for argv in self.COMMANDS:
+            count.unlink(missing_ok=True)
+            proc = subprocess.run([sys.executable, "-c", EXIT_BOOTSTRAP, str(count), *argv], cwd=child, env=env,
+                                  capture_output=True, timeout=120)
+            results.append(run(capsys, *argv))
+            code, stdout, stderr = results[-1]
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout.encode(), stderr.encode()), argv
+            assert int(count.read_text()) > 0, argv
+            assert self.files(child) == self.files(here), argv
+        assert [code for code, _, _ in results] == [EXIT_OK] * 5 + [EXIT_VALIDATION]
+        assert results[2][2].startswith("warning: ExtrapolationWarning: ")
+        assert results[5][2] == "error: bad.csv:3: non-numeric field in ['3', 'x']\n"
+
+    def test_the_console_script_is_the_entry_of_the_main_block(self):
+        # an installed `cvb` must exit as `python -m cvb.cli` does
+        root = Path(__file__).resolve().parents[1]
+        script = re.search(r'^cvb = "cvb\.cli:(\w+)"$', (root / "pyproject.toml").read_text(), re.M)
+        tree = ast.parse((root / "src" / "cvb" / "cli.py").read_text(encoding="utf-8"))
+        block = next(node for node in tree.body
+                     if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert script is not None and ast.unparse(block.body[0]) == f"sys.exit({script[1]}())"
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, "gen", "correspondences", "--out", str(tmp_path / "pairs.csv"))[0] == EXIT_OK
+        assert run(capsys, "gen", "nonsense", "--out", str(tmp_path / "x.csv"))[0] == EXIT_VALIDATION
+        assert gc.get_freeze_count() == before

@@ -164,6 +164,7 @@ def test_plain_body_may_mix_whitespace(tmp_path):
     b"1 2.0 3 4",
     b"1 2 3",  # too few
     b"1 2 3 4 5",  # too many
+    b"",  # no body
     b"  \n",  # none at all
     b"1 2 3 99999999999999999999",  # beyond int64
 ])

@@ -72,3 +72,15 @@ def test_fault_probe(tmp_path):
     for line in lines[1:]:
         ms, faults = line.split()[-2:]
         assert float(ms) >= 0.0 and float(faults) >= 0.0
+
+
+def test_command_probe():
+    # output format only: timings depend on the machine
+    proc = run_script("command_probe.py", "--size", "tiny", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["command", "median_ms", "exit_ms"]
+    assert [line.split()[0] for line in lines[1:]] == ["gen", "calibrate", "apply", "warp", "eval"]
+    for line in lines[1:]:
+        ms, exit_ms = map(float, line.split()[1:])
+        assert ms >= exit_ms >= 0.0
