@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time and exit phase of each `cvb` command, run as a child process.
+"""Wall time, exit phase and cvb modules loaded of each `cvb` command, run as a child process.
 
 The script writes the pipeline's inputs to a temporary directory with cvb's
 own generators and writers (``--size full``: the 640x480 RGB plain PPM that
@@ -10,14 +10,19 @@ calibrate, apply, warp and eval in turn, once to warm and ``--repeats``
 times more, each as ``python -m cvb.cli`` would, but through a ``-c``
 bootstrap that registers an atexit hook before it starts the module.  The
 hook, registered first, runs last of the atexit handlers and records
-``time.monotonic_ns()``; on Linux the parent and child share that clock.
+``time.monotonic_ns()`` (on Linux the parent and child share that clock) and
+the number of ``cvb.*`` modules then loaded.
 
-For each command the script prints the median wall time from spawn to exit
-and the median exit phase, from the hook's timestamp to the moment the
-parent has reaped the child: the stdio flush, module teardown and the
-interpreter's shutdown collections.  Like perfbench's cli-pipeline it runs on
-one CPU with BLAS threads capped at one.  The children import cvb as this
-script does, so ``PYTHONPATH`` selects the tree to probe.
+For each command the script prints the median wall time from spawn to exit,
+the median exit phase, from the hook's timestamp to the moment the parent has
+reaped the child (the stdio flush, module teardown and the interpreter's
+shutdown collections), and the median count of ``cvb.*`` modules, which
+leaves out the package itself and ``cvb.cli``, run as ``__main__``.  Like
+perfbench's cli-pipeline it runs on one CPU with BLAS threads capped at one.
+The children import cvb as this script does, so ``PYTHONPATH`` selects the
+tree to probe.  They inherit ``PYTHONDONTWRITEBYTECODE`` too: only where it is
+set does each child compile every module it imports, so that the wall times
+include compile time, as they do in perfbench's runs.
 
     python3 scripts/command_probe.py [--size tiny] [--repeats 11] [--seed 1]
 """
@@ -48,14 +53,15 @@ WINDOW = "-448,448,-336,336"
 COMMANDS = ("gen", "calibrate", "apply", "warp", "eval")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# `python -m cvb.cli`, after an atexit hook that writes its clock reading to the path given first
+# `python -m cvb.cli`, after an atexit hook that writes its clock reading and cvb.* module count to the path given first
 BOOTSTRAP = """
 import atexit, runpy, sys, time
 
 def stamp(path=sys.argv.pop(1)):
     now = time.monotonic_ns()
+    modules = sum(name.startswith("cvb.") for name in sys.modules)
     with open(path, "w") as fh:
-        fh.write(str(now))
+        fh.write(f"{now} {modules}")
 
 atexit.register(stamp)
 runpy.run_module("cvb.cli", run_name="__main__", alter_sys=True)
@@ -93,7 +99,7 @@ def command_args(size):
 
 
 def run_command(argv, directory, env):
-    """Wall ms from spawn to reaped exit, and ms from the child's last atexit hook to that exit."""
+    """Wall ms from spawn to reaped exit, ms from the child's last atexit hook to that exit, and its cvb.* modules."""
     stamp = directory / "exit_stamp"
     start = time.monotonic_ns()
     proc = subprocess.run([sys.executable, "-c", BOOTSTRAP, str(stamp), *argv], cwd=directory, env=env,
@@ -101,9 +107,9 @@ def run_command(argv, directory, env):
     end = time.monotonic_ns()
     if proc.returncode != 0:
         raise SystemExit(f"error: cvb {argv[0]} exited {proc.returncode}: {proc.stderr.decode()}")
-    exited = int(stamp.read_text())
+    exited, modules = map(int, stamp.read_text().split())
     stamp.unlink()
-    return (end - start) / 1e6, (end - exited) / 1e6
+    return (end - start) / 1e6, (end - exited) / 1e6, modules
 
 
 def main():
@@ -120,19 +126,21 @@ def main():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
                **{var: "1" for var in THREAD_VARS})
     argvs = command_args(args.size)
-    wall, exit_phase = {c: [] for c in COMMANDS}, {c: [] for c in COMMANDS}
+    wall, exit_phase, loaded = ({c: [] for c in COMMANDS} for _ in range(3))
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
         write_inputs(directory, args.size, args.seed)
         for repeat in range(args.repeats + 1):
             for command in COMMANDS:
-                ms, exit_ms = run_command(argvs[command], directory, env)
+                ms, exit_ms, modules = run_command(argvs[command], directory, env)
                 if repeat:  # the first pass warms the file cache
                     wall[command].append(ms)
                     exit_phase[command].append(exit_ms)
-    print(f"{'command':10s} {'median_ms':>10s} {'exit_ms':>10s}")
+                    loaded[command].append(modules)
+    print(f"{'command':10s} {'median_ms':>10s} {'exit_ms':>10s} {'cvb_modules':>12s}")
     for command in COMMANDS:
-        print(f"{command:10s} {statistics.median(wall[command]):10.3f} {statistics.median(exit_phase[command]):10.3f}")
+        print(f"{command:10s} {statistics.median(wall[command]):10.3f} {statistics.median(exit_phase[command]):10.3f} "
+              f"{statistics.median_low(loaded[command]):12d}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
-"""Chebyshev basis columns, root placement, domain normalization, sample validation."""
+"""Chebyshev basis columns, root placement, domain normalization, sample validation.
+
+Also what every command shares, so that no command imports a fitter it does
+not run: the ``record`` decorator of cvb's frozen value types, ``FitError``,
+the ``Correspondence`` row and the 17-digit real formatter ``_fmt``.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,12 +22,154 @@ MIN_NODE_GAP = 1e-12
 PAD_FRACTION = 0.01
 
 
+def _record_init(self, /, *args, **kwargs):
+    """Bind the fields by position or keyword, a field's class attribute being its default, then ``__post_init__``."""
+    cls = type(self)
+    names, defaults = cls.__match_args__, cls._record_defaults
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional arguments but {len(args)} were given")
+    values = dict(zip(names, args))
+    for name in kwargs:
+        if name in values:
+            raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+        if name not in names:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+    for name in names[len(args):]:
+        if name in kwargs:
+            values[name] = kwargs[name]
+        elif name in defaults:
+            values[name] = defaults[name]
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+    self.__dict__.update(values)
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+
+
+def _record_repr(self):
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _record_eq(self, other):
+    # a record's __dict__ holds its fields alone, so comparing it compares them, faster than two tuples of them
+    if other.__class__ is self.__class__:
+        return self.__dict__ == other.__dict__
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(self._record_values(self))
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _RecordSignature:
+    """A record class's ``__signature__``, built when read: its fields, as ``inspect`` shows a dataclass's."""
+
+    def __get__(self, instance, owner):
+        from inspect import Parameter, Signature
+
+        return Signature([Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, annotation=owner.__annotations__[name],
+                                    default=owner._record_defaults.get(name, Parameter.empty))
+                          for name in owner.__match_args__], return_annotation=None)
+
+
+_RECORD_METHODS = {
+    "__init__": _record_init,
+    "__repr__": _record_repr,
+    "__eq__": _record_eq,
+    "__hash__": _record_hash,
+    "__setattr__": _record_setattr,
+    "__delattr__": _record_delattr,
+    "__signature__": _RecordSignature(),
+}
+
+
+def record(cls):
+    """Make ``cls`` a frozen record of the fields its class body annotates, in that order.
+
+    What ``@dataclass(frozen=True)`` makes, from methods every record class
+    shares, so that decorating compiles no code: ``__init__`` takes the
+    fields by position or keyword (a field's class attribute is its default)
+    and then calls ``__post_init__``, if the class has one, which may replace
+    a field, and store nothing else, through ``object.__setattr__``;
+    ``__repr__``, ``__eq__`` (same class only) and ``__hash__`` read the
+    fields' values; assigning or
+    deleting an attribute raises AttributeError.  ``__match_args__`` names the
+    fields.  ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply.
+    A record has two or more fields, so that their values always form a tuple.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    if len(names) < 2:
+        raise TypeError(f"a record needs two or more fields, {cls.__qualname__} has {len(names)}")
+    cls.__match_args__ = names
+    cls._record_defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    cls._record_values = operator.attrgetter(*names)
+    for name, method in _RECORD_METHODS.items():
+        setattr(cls, name, method)
+    return cls
+
+
+class FitError(RuntimeError):
+    """A fit could not be carried out on the given data."""
+
+
+def _scale_exponent(max_abs) -> int:
+    """The e by which a vector with max_abs = max|value| is scaled, as 2^-e, before it is squared.
+
+    0 while max_abs lies in [1e-140, 1e140] (or is 0 or not finite), where
+    no square overflows or underflows; otherwise max_abs = f * 2^e with f in
+    [0.5, 1).  A power of two scales exactly, so the norm of y * 2^k is
+    exactly 2^k times the norm of y.
+    """
+    if 1e-140 <= max_abs <= 1e140 or max_abs == 0.0 or not math.isfinite(max_abs):
+        return 0
+    return math.frexp(max_abs)[1]
+
+
+def _fmt(value: float) -> str:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite value {value!r}")
+    return format(value, ".17g")
+
+
+class _Row(NamedTuple):
+    u: float
+    v: float
+    X: float
+    Y: float
+
+
+class Correspondence(_Row):
+    """One key point: pixel position (u, v) and its world position (X, Y) in mm.
+
+    A ``NamedTuple`` row, so it unpacks and compares like ``(u, v, X, Y)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u, v, X, Y):
+        row = super().__new__(cls, float(u), float(v), float(X), float(Y))
+        for name, value in zip(cls._fields, row):
+            if not math.isfinite(value):
+                raise ValueError(f"correspondence field {name} must be finite")
+        return row
+
+
 class ExtrapolationWarning(UserWarning):
     """Raised through the warnings machinery when a model is evaluated outside
     the interval it was fitted on."""
 
 
-@dataclass(frozen=True)
+@record
 class DomainMap:
     """Affine map between a source interval [lo, hi] and the basis interval [-1, 1]."""
 
@@ -133,7 +281,7 @@ def _validate_samples(sample_set, coords: tuple, value: str, what: str) -> None:
         object.__setattr__(sample_set, name, a)
 
 
-@dataclass(frozen=True)
+@record
 class SampleSet1D:
     """Ordered sample points (x_i, y_i) with distinct abscissae in [-1, 1]."""
 

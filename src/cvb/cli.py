@@ -16,10 +16,8 @@ import warnings
 
 import numpy as np
 
-from .basis import SampleSet1D, auto_map
-from .fit1d import FitConfig, FitError, _scale_exponent, cvb_approximate, cvb_interpolate, eval_model_1d
-from .fit2d import SampleSet2D, cvb_approximate_2d
-from .rectify import WarpSpec, _fmt, calibrate, load_model, map_point, save_model, warp_image
+# a command imports the other modules it runs in its handler, so it compiles no module it does not run
+from .basis import FitError, SampleSet1D, _fmt, _scale_exponent, auto_map
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -171,6 +169,8 @@ def _load_samples_1d(path):
 
 def _fit_config(args, default_terms):
     """The FitConfig of fit1d's and fit2d's shared fit flags."""
+    from .fit1d import FitConfig
+
     max_terms = args.max_terms if args.max_terms is not None else default_terms
     return FitConfig(epsilon=args.epsilon, max_terms=max_terms, extra_sweeps=args.extra_sweeps)
 
@@ -231,6 +231,8 @@ def _write_trace(path, report, n_coeffs=0):
 
 
 def cmd_fit1d(args) -> int:
+    from .fit1d import cvb_approximate, cvb_interpolate, eval_model_1d
+
     if args.sample:
         count = _numbers(args.sample[:1], int)
         if count is None:
@@ -257,6 +259,8 @@ def cmd_fit1d(args) -> int:
 
 
 def cmd_fit2d(args) -> int:
+    from .fit2d import SampleSet2D, cvb_approximate_2d
+
     data, _ = _read_csv(args.input, ("x", "y", "z"))
     xmap, ymap = auto_map(data[:, 0]), auto_map(data[:, 1])
     samples = SampleSet2D(x=xmap.forward(data[:, 0]), y=ymap.forward(data[:, 1]), z=data[:, 2])
@@ -273,6 +277,9 @@ def cmd_fit2d(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .fit1d import FitConfig
+    from .rectify import calibrate, save_model
+
     pairs, _ = _read_csv(args.pairs, ("u", "v", "X", "Y"))
     config = FitConfig(epsilon=args.epsilon, max_terms=args.degree_bound)
     inverse = None
@@ -290,6 +297,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_model_file(path):
+    from .rectify import load_model
+
     with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
@@ -305,6 +314,8 @@ def _point(path, data, lines, k):
 
 def _map_rows(model, path, data, lines):
     """map_point over the u,v columns of a CSV, refusing a point mapped beyond the float range."""
+    from .rectify import map_point
+
     X, Y = map_point(model, data[:, 0], data[:, 1])
     bad = np.flatnonzero(~(np.isfinite(X) & np.isfinite(Y)))
     if bad.size:
@@ -338,6 +349,7 @@ def _parse_fill(text, channels):
 
 def cmd_warp(args) -> int:
     from .ppm import read_image, write_image
+    from .rectify import WarpSpec, warp_image
 
     model = _load_model_file(args.model)
     image = read_image(args.input)

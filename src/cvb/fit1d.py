@@ -16,17 +16,19 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import (
+from .basis import (  # FitError and _scale_exponent are re-exported here, their home before basis
     IDENTITY_MAP,
     DomainMap,
+    FitError,
     SampleSet1D,
+    _scale_exponent,
     cheb_columns,
+    record,
     warn_if_extrapolating,
 )
 from .orthogonalize import orthogonalize
@@ -36,11 +38,7 @@ from .orthogonalize import orthogonalize
 DEGENERATE_TERM_REL = 1e-12
 
 
-class FitError(RuntimeError):
-    """A fit could not be carried out on the given data."""
-
-
-@dataclass(frozen=True)
+@record
 class FitConfig:
     """Loop controls: residual target, schedule length, optional repeats.
 
@@ -144,7 +142,7 @@ class Trace(Sequence):
         return f"Trace({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
+@record
 class FitReport:
     """What a fit did: its trace, terms, stop state and final residuals.
 
@@ -158,19 +156,6 @@ class FitReport:
     skipped: tuple
     max_abs_residual: float
     l2_residual: float
-
-
-def _scale_exponent(max_abs) -> int:
-    """The e by which a vector with max_abs = max|value| is scaled, as 2^-e, before it is squared.
-
-    0 while max_abs lies in [1e-140, 1e140] (or is 0 or not finite), where
-    no square overflows or underflows; otherwise max_abs = f * 2^e with f in
-    [0.5, 1).  A power of two scales exactly, so the norm of y * 2^k is
-    exactly 2^k times the norm of y.
-    """
-    if 1e-140 <= max_abs <= 1e140 or max_abs == 0.0 or not math.isfinite(max_abs):
-        return 0
-    return math.frexp(max_abs)[1]
 
 
 def _l2(delta, max_abs) -> float:
@@ -203,7 +188,7 @@ def _report(trace, a, converged, skipped, gamma) -> FitReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ChebModel1D:
     """Chebyshev series P(x) = sum a_j T_j(t), t = xmap.forward(x)."""
 

@@ -10,13 +10,14 @@ and so visited no later, when a <= i and b <= j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .basis import IDENTITY_MAP, DomainMap, _cheb_rows, _validate_samples, cheb_columns, warn_if_extrapolating
-from .fit1d import FitConfig, _shape_first
+from .basis import IDENTITY_MAP, DomainMap, _cheb_rows, _validate_samples, cheb_columns, record, warn_if_extrapolating
+
+if TYPE_CHECKING:
+    from .fit1d import FitConfig
 
 
 class TermIndex2D(NamedTuple):
@@ -26,7 +27,7 @@ class TermIndex2D(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
+@record
 class SampleSet2D:
     """Sample points (x_i, y_i, z_i) with distinct (x, y) pairs in [-1, 1]^2."""
 
@@ -47,7 +48,7 @@ def _visit_key(t: TermIndex2D):
     return (t.i + t.j, min(t.i, t.j), t.i)
 
 
-@dataclass(frozen=True)
+@record
 class ChebModel2D:
     """Triangular tensor series P(x, y) = sum a[i, j] T_i(tx) T_j(ty).
 
@@ -157,6 +158,8 @@ def cvb_approximate_2d(
 
 def _approximate_2d(samples: SampleSet2D, targets, config: FitConfig, xmap: DomainMap, ymap: DomainMap):
     """Lazily, ``cvb_approximate_2d`` of each of ``targets`` on one term matrix and sweep plan."""
+    from .fit1d import _shape_first  # here: the commands that only evaluate a surface never load the engine
+
     i, j = _visit_indices(config.max_terms)
     order = list(map(TermIndex2D, i.tolist(), j.tolist()))
     fits = _shape_first(term_matrix(samples, order), targets, config, (i[:, None] >= i) & (j[:, None] >= j), order)

@@ -9,16 +9,16 @@ projections on the orthogonal set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .basis import record
 
 # o_j whose squared norm falls below this fraction of ||tau_j||^2 is treated
 # as linearly dependent on earlier terms.
 DEGENERATE_REL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class OrthoSet:
     """Orthogonal components plus the q coefficient triangle."""
 

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .basis import MIN_NODE_GAP, DomainMap, auto_map
-from .fit1d import FitConfig, FitError
+# Correspondence and _fmt are re-exported here, their home before basis
+from .basis import MIN_NODE_GAP, Correspondence, DomainMap, FitError, _fmt, auto_map, record
 from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _approximate_2d, _eval_points, _grid_factors
+
+if TYPE_CHECKING:
+    from .fit1d import FitConfig
 
 SUBFIT_NAMES = ("fwd_x", "fwd_y", "inv_u", "inv_v")
 MODEL_VERSION = 1
@@ -37,30 +39,7 @@ class ModelVersionError(ModelParseError):
     """A calibration document declares an unsupported version."""
 
 
-class _Row(NamedTuple):
-    u: float
-    v: float
-    X: float
-    Y: float
-
-
-class Correspondence(_Row):
-    """One key point: pixel position (u, v) and its world position (X, Y) in mm.
-
-    A ``NamedTuple`` row, so it unpacks and compares like ``(u, v, X, Y)``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, u, v, X, Y):
-        row = super().__new__(cls, float(u), float(v), float(X), float(Y))
-        for name, value in zip(cls._fields, row):
-            if not math.isfinite(value):
-                raise ValueError(f"correspondence field {name} must be finite")
-        return row
-
-
-@dataclass(frozen=True)
+@record
 class CalibrationMeta:
     """Degree bound, reports and ``epsilon``: the forward target only, as no inverse one is kept."""
 
@@ -69,8 +48,10 @@ class CalibrationMeta:
     stats: Optional[dict] = None  # name -> FitReport, absent on loaded models
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationModel:
+    """The four calibration surfaces and their meta."""
+
     fwd_x: ChebModel2D
     fwd_y: ChebModel2D
     inv_u: ChebModel2D
@@ -137,7 +118,7 @@ def map_point(model: CalibrationModel, u: float, v: float):
     return _eval_points((model.fwd_x, model.fwd_y), u, v)
 
 
-@dataclass(frozen=True)
+@record
 class WarpSpec:
     """Output raster geometry: size plus the world window it covers.
 
@@ -210,13 +191,6 @@ def warp_image(model: CalibrationModel, image: np.ndarray, out_spec: WarpSpec, f
         flat.take(index, axis=0, out=rows, mode="clip")
         rows[invalid] = pixel
     return out
-
-
-def _fmt(value: float) -> str:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite value {value!r}")
-    return format(value, ".17g")
 
 
 def save_model(model: CalibrationModel) -> str:

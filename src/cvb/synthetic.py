@@ -10,12 +10,10 @@ calibration accuracy can be measured exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SampleSet1D
-from .rectify import Correspondence
+from .basis import Correspondence, SampleSet1D, record
 
 # Frozen acceptance fixture: 5 degrees of rotation, pincushion chosen so the
 # maximum radial displacement over a 640x480 frame is 4 px (the closed form in
@@ -25,7 +23,7 @@ DEFAULT_ROTATION = math.radians(5.0)
 DEFAULT_PINCUSHION = 0.01
 
 
-@dataclass(frozen=True)
+@record
 class DistortionParams:
     """Synthetic camera: world mm -> pixel, with rotation and pincushion.
 
@@ -77,8 +75,11 @@ def gen_noisy_line(seed: int) -> SampleSet1D:
 
     Abscissae come from a scrambled low-discrepancy sequence over [-1, 1],
     thinned to a minimum gap of 0.05 and sorted; the y noise is uniform in
-    +/-0.05.  Identical seeds give identical point sets.
+    +/-0.05.  Identical seeds give identical point sets; a negative seed is
+    refused, as numpy's seeding refuses it.
     """
+    if seed < 0:
+        raise ValueError(f"noisy-line seed must be a non-negative integer, got {seed}")
     # imported here: scipy.stats takes most of a second to import, and this
     # is its only use
     from scipy.stats import qmc

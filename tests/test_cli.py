@@ -88,6 +88,13 @@ class TestGen:
         assert run(capsys, "gen", "noisy-line", "--seed", "3", "--out", str(out))[0] == EXIT_OK
         assert out.read_text() == NOISY_LINE_SEED_3
 
+    def test_a_negative_noisy_line_seed_is_refused_by_name(self, tmp_path, capsys):
+        out = tmp_path / "noisy.csv"
+        code, stdout, stderr = run(capsys, "gen", "noisy-line", "--seed", "-1", "--out", str(out))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == "error: noisy-line seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_humped_flat(self, tmp_path, capsys):
         out = tmp_path / "hf.csv"
         code, stdout, _ = run(capsys, "gen", "humped-flat", "--out", str(out))
@@ -695,13 +702,49 @@ def test_importing_the_cli_does_not_load_scipy_stats():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def test_the_cli_imports_only_what_a_command_runs():
-    # the raster module for warp alone, the generators for gen alone, numpy's series module for --sample alone
+# `python -m cvb.cli`, after an atexit hook that writes the names of the loaded modules to the path given first
+MODULES_AT_EXIT = """
+import atexit, runpy, sys
+
+def dump(path=sys.argv.pop(1)):
+    with open(path, "w") as fh:
+        fh.write("\\n".join(sys.modules))
+
+atexit.register(dump)
+runpy.run_module("cvb.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_cli_imports_only_what_a_command_runs(tmp_path):
+    # each pipeline command in its own process: the raster module for warp alone, the generators for gen
+    # alone, no fitter or calibration module for gen, no fit engine where a surface is only evaluated,
+    # no dataclasses anywhere, and numpy's series module for fit1d --sample alone
     src = str(Path(cvb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import cvb.cli, sys; loaded = {'cvb.ppm', 'cvb.synthetic', 'numpy.polynomial'} & set(sys.modules); "
-            "assert not loaded, loaded")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    write_image(tmp_path / "in.ppm", np.arange(48 * 3, dtype=np.uint8).reshape(6, 8, 3), plain=True)
+    (tmp_path / "points.csv").write_text("u,v\n320,240\n100,50\n")
+    commands = {
+        "gen": ["gen", "correspondences", "--out", "pairs.csv"],
+        "calibrate": ["calibrate", "--pairs", "pairs.csv", "--degree-bound", "4", "--out", "model.json"],
+        "apply": ["apply", "--model", "model.json", "--points", "points.csv", "--out", "mapped.csv"],
+        "warp": ["warp", "--model", "model.json", "--input", "in.ppm", "--output", "out.ppm",
+                 "--window=-448,448,-336,336", "--width", "8", "--height", "6"],
+        "eval": ["eval", "--model", "model.json", "--truth", "pairs.csv"],
+    }
+    loaded = {}
+    for command, argv in commands.items():
+        names = tmp_path / f"{command}.modules"
+        proc = subprocess.run([sys.executable, "-c", MODULES_AT_EXIT, str(names), *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        loaded[command] = set(names.read_text().split())
+    assert loaded["gen"].isdisjoint({"cvb.fit1d", "cvb.fit2d", "cvb.rectify"}), loaded["gen"]
+    assert {"cvb.fit1d", "cvb.fit2d", "cvb.rectify"} <= loaded["calibrate"]
+    for command in ("apply", "warp", "eval"):
+        assert "cvb.fit1d" not in loaded[command] and "cvb.rectify" in loaded[command], command
+    for command, modules in loaded.items():
+        assert ("cvb.ppm" in modules, "cvb.synthetic" in modules) == (command == "warp", command == "gen"), command
+        assert {"dataclasses", "numpy.polynomial"}.isdisjoint(modules), command
 
 
 def single_value_options():

@@ -79,8 +79,9 @@ def test_command_probe():
     proc = run_script("command_probe.py", "--size", "tiny", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["command", "median_ms", "exit_ms"]
+    assert lines[0].split() == ["command", "median_ms", "exit_ms", "cvb_modules"]
     assert [line.split()[0] for line in lines[1:]] == ["gen", "calibrate", "apply", "warp", "eval"]
     for line in lines[1:]:
-        ms, exit_ms = map(float, line.split()[1:])
-        assert ms >= exit_ms >= 0.0
+        ms, exit_ms, modules = line.split()[1:]
+        assert float(ms) >= float(exit_ms) >= 0.0
+        assert int(modules) >= 1  # basis at least

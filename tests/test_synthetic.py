@@ -66,6 +66,11 @@ class TestFixedDatasets:
     def test_noisy_line_seed_changes_data(self):
         assert gen_noisy_line(7).x.tolist() != gen_noisy_line(8).x.tolist()
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_noisy_line_refuses_a_negative_seed_by_name(self, seed):
+        with pytest.raises(ValueError, match=rf"^noisy-line seed must be a non-negative integer, got {seed}$"):
+            gen_noisy_line(seed)
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_noisy_line_shape(self, seed):
         s = gen_noisy_line(seed)
