@@ -10,7 +10,7 @@ image rectification toolchain.
 A public name's module is imported when the name is first read (PEP 562),
 and the modules import one another only where a command needs both:
 ``basis`` holds what every command shares (the frozen records, FitError,
-the correspondence row), ``fit2d`` loads the ``fit1d`` engine only when it
+the 17-digit formatter), ``fit2d`` loads the ``fit1d`` engine only when it
 fits, and ``synthetic`` needs ``basis`` alone.  So ``cvb gen`` loads neither
 fitter nor ``rectify``, and ``apply``, ``eval`` and ``warp`` load no ``fit1d``.
 """
@@ -23,14 +23,14 @@ import importlib as _importlib
 from .orthogonalize import OrthoSet, orthogonalize
 
 _LAZY = {
-    "basis": ("Correspondence", "DomainMap", "ExtrapolationWarning", "FitError", "IDENTITY_MAP", "SampleSet1D",
-              "auto_map", "cheb_zeros"),
+    "basis": ("DomainMap", "ExtrapolationWarning", "FitError", "IDENTITY_MAP", "SampleSet1D", "auto_map",
+              "cheb_zeros"),
     "fit1d": ("ChebModel1D", "FitConfig", "FitReport", "TraceStep", "cvb_approximate", "cvb_interpolate",
               "eval_model_1d"),
     "fit2d": ("ChebModel2D", "SampleSet2D", "TermIndex2D", "cvb_approximate_2d", "eval_model_2d", "revisit_set",
               "visit_order"),
-    "rectify": ("CalibrationMeta", "CalibrationModel", "ModelParseError", "ModelVersionError", "WarpSpec",
-                "calibrate", "load_model", "map_point", "save_model", "warp_image"),
+    "rectify": ("CalibrationMeta", "CalibrationModel", "Correspondence", "ModelParseError", "ModelVersionError",
+                "WarpSpec", "calibrate", "load_model", "map_point", "save_model", "warp_image"),
     "synthetic": ("DistortionParams", "default_pattern", "distort", "gen_correspondences", "gen_humped_flat",
                   "gen_noisy_line", "gen_runge", "max_displacement_px", "runge"),
 }

@@ -1,8 +1,8 @@
 """Chebyshev basis columns, root placement, domain normalization, sample validation.
 
 Also what every command shares, so that no command imports a fitter it does
-not run: the ``record`` decorator of cvb's frozen value types, ``FitError``,
-the ``Correspondence`` row and the 17-digit real formatter ``_fmt``.
+not run: the ``record`` decorator of cvb's frozen value types, ``FitError``
+and the 17-digit real formatter ``_fmt``.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,17 +69,6 @@ def _record_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _RecordSignature:
-    """A record class's ``__signature__``, built when read: its fields, as ``inspect`` shows a dataclass's."""
-
-    def __get__(self, instance, owner):
-        from inspect import Parameter, Signature
-
-        return Signature([Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, annotation=owner.__annotations__[name],
-                                    default=owner._record_defaults.get(name, Parameter.empty))
-                          for name in owner.__match_args__], return_annotation=None)
-
-
 _RECORD_METHODS = {
     "__init__": _record_init,
     "__repr__": _record_repr,
@@ -88,7 +76,6 @@ _RECORD_METHODS = {
     "__hash__": _record_hash,
     "__setattr__": _record_setattr,
     "__delattr__": _record_delattr,
-    "__signature__": _RecordSignature(),
 }
 
 
@@ -103,7 +90,9 @@ def record(cls):
     ``__repr__``, ``__eq__`` (same class only) and ``__hash__`` read the
     fields' values; assigning or
     deleting an attribute raises AttributeError.  ``__match_args__`` names the
-    fields.  ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply.
+    fields and ``_record_defaults`` maps a field to its default.
+    ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply, and
+    ``inspect.signature`` shows ``(*args, **kwargs)``, not the fields.
     A record has two or more fields, so that their values always form a tuple.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
@@ -139,29 +128,6 @@ def _fmt(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
     return format(value, ".17g")
-
-
-class _Row(NamedTuple):
-    u: float
-    v: float
-    X: float
-    Y: float
-
-
-class Correspondence(_Row):
-    """One key point: pixel position (u, v) and its world position (X, Y) in mm.
-
-    A ``NamedTuple`` row, so it unpacks and compares like ``(u, v, X, Y)``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, u, v, X, Y):
-        row = super().__new__(cls, float(u), float(v), float(X), float(Y))
-        for name, value in zip(cls._fields, row):
-            if not math.isfinite(value):
-                raise ValueError(f"correspondence field {name} must be finite")
-        return row
 
 
 class ExtrapolationWarning(UserWarning):

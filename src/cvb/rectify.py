@@ -4,19 +4,19 @@ A calibration holds four fitted surfaces: pixel (u, v) to world X and Y
 (forward), and world (X, Y) back to pixel u and v (inverse).  The inverse
 direction is fitted from the swapped correspondences rather than obtained by
 inverting the forward polynomials.  Pixels in, millimetres out; units are
-documentation only and never converted internally.
+documentation only and never converted internally.  The correspondences are
+u,v,X,Y rows, as a table or as ``Correspondence`` rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-# Correspondence and _fmt are re-exported here, their home before basis
-from .basis import MIN_NODE_GAP, Correspondence, DomainMap, FitError, _fmt, auto_map, record
+from .basis import MIN_NODE_GAP, DomainMap, FitError, _fmt, auto_map, record
 from .fit2d import ChebModel2D, SampleSet2D, TermIndex2D, _approximate_2d, _eval_points, _grid_factors
 
 if TYPE_CHECKING:
@@ -37,6 +37,29 @@ class ModelParseError(ValueError):
 
 class ModelVersionError(ModelParseError):
     """A calibration document declares an unsupported version."""
+
+
+class _Row(NamedTuple):
+    u: float
+    v: float
+    X: float
+    Y: float
+
+
+class Correspondence(_Row):
+    """One key point: pixel position (u, v) and its world position (X, Y) in mm.
+
+    A ``NamedTuple`` row, so it unpacks and compares like ``(u, v, X, Y)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u, v, X, Y):
+        row = super().__new__(cls, float(u), float(v), float(X), float(Y))
+        for name, value in zip(cls._fields, row):
+            if not math.isfinite(value):
+                raise ValueError(f"correspondence field {name} must be finite")
+        return row
 
 
 @record

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .basis import Correspondence, SampleSet1D, record
+from .basis import SampleSet1D, record
 
 # Frozen acceptance fixture: 5 degrees of rotation, pincushion chosen so the
 # maximum radial displacement over a 640x480 frame is 4 px (the closed form in
@@ -151,10 +151,7 @@ def default_pattern(params: DistortionParams):
     return points
 
 
-def gen_correspondences(params: DistortionParams, pattern=None) -> list[Correspondence]:
-    """Calibration correspondences for a world pattern seen through ``distort``."""
-    pattern = np.asarray(default_pattern(params) if pattern is None else list(pattern), dtype=float)
-    if len(pattern) < 3:
-        raise ValueError(f"pattern needs at least 3 points, got {len(pattern)}")
-    X, Y = pattern.T
-    return [Correspondence(*row) for row in zip(*distort(params, X, Y), X, Y)]
+def gen_correspondences(params: DistortionParams) -> np.ndarray:
+    """The (20, 4) float64 u,v,X,Y table of ``default_pattern`` seen through ``distort``, as ``calibrate`` reads it."""
+    X, Y = np.array(default_pattern(params)).T
+    return np.column_stack((*distort(params, X, Y), X, Y))

@@ -167,15 +167,30 @@ def _perfbench_calls():
     return calls
 
 
-def test_the_benchmark_calls_bind_to_the_current_signatures():
+def _unbound(calls, field_signature):
+    """The calls whose arguments do not bind to their callable, a record class's fields being its signature."""
+    unbound = []
+    for where, target, node in calls:
+        signature = field_signature(target) if hasattr(target, "_record_defaults") else inspect.signature(target)
+        try:
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    return unbound
+
+
+def test_the_benchmark_calls_bind_to_the_current_signatures(field_signature):
     # a renamed or dropped parameter would break the benchmark with no Tier-1 test failing
     calls = _perfbench_calls()
     called = {target for _, target, _ in calls}
-    assert cvb.calibrate in called and cvb.fit1d.projection_sweeps in called
-    unbound = []
-    for where, target, node in calls:
-        try:
-            inspect.signature(target).bind(*node.args, **{k.arg: k.value for k in node.keywords})
-        except TypeError as exc:
-            unbound.append(f"{where}: {exc}")
-    assert unbound == []
+    assert cvb.calibrate in called and cvb.fit1d.projection_sweeps in called and cvb.FitConfig in called
+    assert _unbound(calls, field_signature) == []
+
+
+def test_a_misspelt_record_field_fails_to_bind(field_signature):
+    # a record's __init__ takes (*args, **kwargs), so only its field signature catches the misspelling
+    calls = [(f"example:{line}", cvb.FitConfig, ast.parse(source, mode="eval").body) for line, source in
+             enumerate(["FitConfig(epsilon=0.5, max_terms=6)", "FitConfig(epsilon=0.5, max_term=6)",
+                        "FitConfig(0.5, 6, 0, 1)"], start=1)]
+    assert _unbound(calls, field_signature) == ["example:2: got an unexpected keyword argument 'max_term'",
+                                                "example:3: too many positional arguments"]

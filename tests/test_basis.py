@@ -71,6 +71,18 @@ class TestChebEval:
         with pytest.raises(ValueError):
             cheb_columns([0.0], 0)
 
+    @pytest.mark.parametrize("cls, name, others", [
+        (SampleSet1D, "x", {"y": [0.0, 0.0]}),
+        (SampleSet2D, "x", {"y": [0.0, 0.0], "z": [0.0, 0.0]}),
+        (SampleSet2D, "y", {"x": [0.0, 0.0], "z": [0.0, 0.0]}),
+    ], ids=["1d", "2d-x", "2d-y"])
+    def test_clamp_tolerance_lies_between_1e_13_and_1e_11(self, cls, name, others):
+        # an overshoot of 1e-13 is clamped and one of 1e-11 refused, so CLAMP_TOL lies between them
+        samples = cls(**{name: [1.0 + 1e-13, -1.0 - 1e-13]}, **others)
+        assert getattr(samples, name).tolist() == [1.0, -1.0]
+        with pytest.raises(ValueError, match=rf"sample {name} value .*1\.00000000001.* lies outside \[-1, 1\]"):
+            cls(**{name: [0.0, 1.0 + 1e-11]}, **others)
+
     @pytest.mark.parametrize("j", range(2, 31))
     def test_matches_cosine_closed_form_on_grid(self, j):
         # independent oracle: T_j(x) = cos(j arccos x)
@@ -158,6 +170,11 @@ class TestDomainMap:
         with pytest.raises(ValueError):
             DomainMap(2.0, -1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_rejects_non_finite_bound(self, lo, hi):
+        with pytest.raises(ValueError, match="domain bounds must be finite"):
+            DomainMap(lo, hi)
+
     @given(
         st.floats(-1e6, 1e6),
         st.floats(1e-6, 1e6),
@@ -202,6 +219,26 @@ class TestSampleSets:
 
     def test_single_point_allowed(self):
         assert SampleSet1D(x=[0.5], y=[2.0]).m == 1
+
+    @pytest.mark.parametrize("make, names", [
+        (lambda: SampleSet1D(x=[0.0, 0.5], y=[1.0]), "x, y"),
+        (lambda: SampleSet1D(x=[[0.0, 0.5]], y=[[1.0, 2.0]]), "x, y"),
+        (lambda: SampleSet2D(x=[0.0, 0.5], y=[0.0, 0.5], z=[1.0, 2.0, 3.0]), "x, y, z"),
+    ], ids=["1d-unequal", "1d-two-dimensional", "2d-unequal"])
+    def test_rejects_arrays_of_another_shape(self, make, names):
+        with pytest.raises(ValueError, match=f"^{names} must be 1-D arrays of equal length$"):
+            make()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda bad: SampleSet1D(x=[0.0, bad], y=[1.0, 2.0]),
+        lambda bad: SampleSet1D(x=[0.0, 0.5], y=[1.0, bad]),
+        lambda bad: SampleSet2D(x=[0.0, 0.5], y=[bad, 0.5], z=[1.0, 2.0]),
+        lambda bad: SampleSet2D(x=[0.0, 0.5], y=[0.0, 0.5], z=[bad, 2.0]),
+    ], ids=["1d-x", "1d-y", "2d-y", "2d-z"])
+    def test_rejects_non_finite_values(self, make, value):
+        with pytest.raises(ValueError, match="^sample values must be finite$"):
+            make(value)
 
     def test_2d_rejects_duplicate_pairs(self):
         with pytest.raises(ValueError):

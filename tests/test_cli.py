@@ -77,6 +77,16 @@ class TestGen:
         assert lines[0] == "u,v,X,Y"
         assert len(lines) == 21
 
+    def test_correspondences_are_distort_of_the_default_pattern(self, tmp_path, capsys):
+        # each row is the %.17g text of one distort call, so it reads back bit for bit
+        from cvb.synthetic import DistortionParams, default_pattern, distort
+
+        out = tmp_path / "pairs.csv"
+        assert run(capsys, "gen", "correspondences", "--out", str(out))[0] == EXIT_OK
+        params = DistortionParams()
+        rows = ["%.17g,%.17g,%.17g,%.17g" % (*distort(params, X, Y), X, Y) for X, Y in default_pattern(params)]
+        assert out.read_text() == "\n".join(["u,v,X,Y", *rows]) + "\n"
+
     def test_noisy_line_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(capsys, "gen", "noisy-line", "--seed", "7", "--out", str(a))[0] == EXIT_OK

@@ -453,6 +453,16 @@ class TestEvalModel2D:
         with pytest.raises(ValueError):
             ChebModel2D(coeffs={T(-1, 0): 1.0}, degree_bound=3)
 
+    @pytest.mark.parametrize("degree_bound", [0, -2])
+    def test_rejects_degree_bound_below_one(self, degree_bound):
+        with pytest.raises(ValueError, match=f"degree_bound must be >= 1, got {degree_bound}"):
+            ChebModel2D(coeffs={}, degree_bound=degree_bound)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_coefficient(self, value):
+        with pytest.raises(ValueError, match=r"coefficient for TermIndex2D\(i=1, j=0\) is not finite"):
+            ChebModel2D(coeffs={T(0, 0): 1.0, T(1, 0): value}, degree_bound=3)
+
     def test_vectorized(self):
         model = ChebModel2D(coeffs={T(1, 0): 1.0, T(0, 1): 2.0}, degree_bound=2)
         x = np.array([0.0, 0.5])

@@ -21,8 +21,8 @@ RECORDS = sorted({value for module in MODULES for value in vars(module).values()
                   if isinstance(value, type) and "_record_values" in vars(value)}, key=lambda cls: cls.__qualname__)
 
 # what ``record`` puts in a class body, and the class's own attribute slots, left out of the twin's body
-INSTALLED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__signature__",
-             "__match_args__", "_record_defaults", "_record_values", "__dict__", "__weakref__"}
+INSTALLED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__match_args__",
+             "_record_defaults", "_record_values", "__dict__", "__weakref__"}
 
 _, REPORT = cvb_approximate(SampleSet1D(x=[-1.0, 0.0, 1.0], y=[0.0, 1.0, 4.0]), FitConfig(max_terms=3))
 SURFACE = ChebModel2D(coeffs={(1, 0): 2.0, (0, 0): 1.0}, xmap=DomainMap(0, 1), degree_bound=3)
@@ -103,10 +103,10 @@ class TestAgainstDataclass:
                 lambda: hash(c))])
         assert results[0] == results[1]
 
-    def test_match_args_and_signature(self, cls):
+    def test_match_args_and_signature(self, cls, field_signature):
         oracle = twin(cls)
         assert cls.__match_args__ == oracle.__match_args__
-        assert inspect.signature(cls) == inspect.signature(oracle)
+        assert field_signature(cls) == inspect.signature(oracle)
 
     def test_positional_and_keyword_arguments_agree(self, cls):
         a = cls(**EXAMPLES[cls][0])

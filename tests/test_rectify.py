@@ -81,10 +81,10 @@ class TestCalibrateBasics:
 
     def test_sample_points_hit_within_epsilon(self, oracle_model):
         eps = FWD_CONFIG.epsilon
-        for p in gen_correspondences(ORACLE):
-            X, Y = map_point(oracle_model, p.u, p.v)
-            assert abs(X - p.X) <= eps + 1e-6
-            assert abs(Y - p.Y) <= eps + 1e-6
+        for u, v, X_true, Y_true in gen_correspondences(ORACLE):
+            X, Y = map_point(oracle_model, u, v)
+            assert abs(X - X_true) <= eps + 1e-6
+            assert abs(Y - Y_true) <= eps + 1e-6
 
     def test_needs_three_pairs(self):
         with pytest.raises(ValueError):
@@ -138,8 +138,8 @@ class TestCalibrateBasics:
 
 
 def oracle_table():
-    """The ``gen_correspondences`` rows as an (m, 4) u,v,X,Y array."""
-    return np.array(gen_correspondences(ORACLE))
+    """The oracle camera's ``gen_correspondences`` table, a new (20, 4) u,v,X,Y array at each call."""
+    return gen_correspondences(ORACLE)
 
 
 class TestCalibrationInput:
@@ -724,6 +724,14 @@ class TestSerialization:
         four, five = (ChebModel2D({TermIndex2D(0, 0): 1.0}, degree_bound=n) for n in (4, 5))
         model = CalibrationModel(four, four, five, five, CalibrationMeta(epsilon=1e-9, degree_bound=4))
         with pytest.raises(ValueError, match="degree bound"):
+            save_model(model)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_save_rejects_a_non_finite_epsilon(self, oracle_model, epsilon):
+        # a model assembled by hand can hold one; its document would not load
+        meta = CalibrationMeta(epsilon=epsilon, degree_bound=oracle_model.meta.degree_bound)
+        model = CalibrationModel(oracle_model.fwd_x, oracle_model.fwd_y, oracle_model.inv_u, oracle_model.inv_v, meta)
+        with pytest.raises(ValueError, match=f"cannot serialize non-finite value {epsilon}"):
             save_model(model)
 
 

@@ -85,3 +85,19 @@ def test_command_probe():
         ms, exit_ms, modules = line.split()[1:]
         assert float(ms) >= float(exit_ms) >= 0.0
         assert int(modules) >= 1  # basis at least
+
+
+def test_src_lines(tmp_path):
+    # each kind of line: docstrings, code, a comment, a blank, and a string that is no docstring
+    (tmp_path / "a.py").write_text('"""Doc\n\nstring."""\n\n# comment\nx = 1\ny = """two\nlines"""\n')
+    (tmp_path / "b.py").write_text('def f():\n    """One."""\n    return (\n        1)\n')
+    proc = run_script("src_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: [int(n) for n in line.split()[1:]] for line in proc.stdout.splitlines()[1:]}
+    assert rows == {"a.py": [8, 3, 3], "b.py": [4, 3, 1], "all": [12, 6, 4]}
+    proc = run_script("src_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["module", "total", "code", "doc"]
+    modules = sorted(path.name for path in (ROOT / "src" / "cvb").glob("*.py"))
+    assert [line.split()[0] for line in lines[1:]] == [*modules, "all"]

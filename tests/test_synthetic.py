@@ -153,42 +153,31 @@ class TestDistort:
 
 class TestCorrespondences:
     def test_default_pattern_has_twenty_points(self):
-        pairs = gen_correspondences(DistortionParams())
-        assert len(pairs) == 20
+        table = gen_correspondences(DistortionParams())
+        assert table.shape == (20, 4) and table.dtype == np.float64
 
     def test_identity_params_give_scaled_coordinates(self):
         params = DistortionParams(rotation=0.0, pincushion=0.0)
-        for p in gen_correspondences(params):
-            assert p.u == pytest.approx(320.0 + 0.5 * p.X)
-            assert p.v == pytest.approx(240.0 + 0.5 * p.Y)
+        u, v, X, Y = gen_correspondences(params).T
+        assert u == pytest.approx(320.0 + 0.5 * X)
+        assert v == pytest.approx(240.0 + 0.5 * Y)
 
     def test_all_pixels_inside_frame(self):
         params = DistortionParams()
         w, h = params.image_size
-        for p in gen_correspondences(params):
-            assert 0.0 <= p.u <= w and 0.0 <= p.v <= h
+        u, v, _, _ = gen_correspondences(params).T
+        assert np.all((0.0 <= u) & (u <= w) & (0.0 <= v) & (v <= h))
 
     def test_deterministic(self):
         a = gen_correspondences(DistortionParams())
         b = gen_correspondences(DistortionParams())
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("pattern", [None, [(0, 0), (10.5, 10), (20, -20), (-123.456, 77.7)]],
-                             ids=["default", "custom"])
-    def test_rows_equal_one_distort_call_per_point(self, pattern):
+    def test_rows_equal_one_distort_call_per_point(self):
         params = DistortionParams()
-        points = default_pattern(params) if pattern is None else pattern
-        expected = [[float(w).hex() for w in (*distort(params, X, Y), X, Y)] for X, Y in points]
-        pairs = gen_correspondences(params, pattern)
-        assert [[w.hex() for w in p] for p in pairs] == expected
-        assert all(type(value) is float for p in pairs for value in p)
-
-    def test_custom_pattern_and_minimum_size(self):
-        params = DistortionParams()
-        pairs = gen_correspondences(params, pattern=[(0, 0), (10, 10), (20, -20)])
-        assert len(pairs) == 3
-        with pytest.raises(ValueError):
-            gen_correspondences(params, pattern=[(0, 0), (1, 1)])
+        expected = [[float(w).hex() for w in (*distort(params, X, Y), X, Y)] for X, Y in default_pattern(params)]
+        table = gen_correspondences(params)
+        assert [[w.hex() for w in row] for row in table.tolist()] == expected
 
     def test_pattern_is_interior_grid_plus_two_corners(self):
         pts = np.array(default_pattern(DistortionParams()))
